@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard check
+.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard perfbench-smoke check
 
 build:
 	$(GO) build ./...
@@ -82,4 +82,12 @@ ddp-smoke:
 alloc-guard:
 	$(GO) test ./internal/core/ -run TestArenaForwardAllocBudget -count=1 -v
 
-check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard
+# The benchmark's own output checks. perfbench/ is a separate module, so the
+# root "go test ./..." never reaches it: run every workload briefly, traced
+# and untraced, and check that training replays within 1e-5, served logits
+# bit-match the reference, every BENCHMARK.json metric is printed, and each
+# kind of wrong output counts as a failure. Writes nothing into the tree.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
+check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard perfbench-smoke

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"bnff/internal/layers"
@@ -114,6 +115,62 @@ func TestReLUConvForwardEdgeGeometries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// RCF's non-finite outputs must be exactly unfused ReLU→CONV's: the old
+// inline-ReLU kernel skipped every non-positive input, so a ±Inf or NaN
+// weight never met the 0 that ReLU writes and 0·Inf = NaN went missing.
+func TestReLUConvForwardNonFiniteMaskMatchesUnfused(t *testing.T) {
+	conv := layers.NewConv2D(2, 3, 3, 1, 1)
+	rng := tensor.NewRNG(33)
+	x := tensor.New(2, 2, 5, 5)
+	w := tensor.New(conv.WeightShape()...)
+	rng.FillNormal(x, 0, 1)
+	rng.FillHe(w, 18)
+	w.Data[4] = float32(math.Inf(1))
+	w.Data[30] = float32(math.NaN())
+	x.Data[12] = float32(math.Inf(-1))
+	x.Data[40] = float32(math.NaN())
+	for _, workers := range []int{1, 4} {
+		conv := conv.WithPool(parallel.New(workers))
+		want, err := conv.Forward(layers.ReLUForward(x), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReLUConvForward(conv, x, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonFinite := 0
+		for i := range want.Data {
+			wv, gv := float64(want.Data[i]), float64(got.Data[i])
+			if math.IsNaN(wv) != math.IsNaN(gv) || math.IsInf(wv, 0) != math.IsInf(gv, 0) {
+				t.Fatalf("workers=%d: y[%d] = %v, unfused ReLU→CONV gives %v", workers, i, gv, wv)
+			}
+			if math.IsNaN(wv) || math.IsInf(wv, 0) {
+				nonFinite++
+			}
+		}
+		if nonFinite == 0 || nonFinite == len(want.Data) {
+			t.Fatalf("workers=%d: %d of %d outputs non-finite; the vector does not separate finite from non-finite",
+				workers, nonFinite, len(want.Data))
+		}
+		if !bitsEqual(got.Data, want.Data) {
+			t.Errorf("workers=%d: RCF not bit-identical to unfused ReLU→CONV on non-finite input", workers)
+		}
+	}
+}
+
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // The unrolled Σx/Σx² epilogue must be bit-identical to the rolled

@@ -117,27 +117,41 @@ func ConvForwardStats(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, 
 }
 
 // ReLUConvForward computes y = conv(ReLU(x), w) without materializing the
-// rectified tensor: the clipping happens as the convolution loads each input
-// element (the paper's RCF). Returns only y; the backward pass recovers the
-// ReLU mask from the saved pre-activation x.
+// rectified tensor (the paper's RCF): each sample is rectified into a
+// cache-sized per-chunk tile, which the one blocked ForwardSample kernel then
+// convolves. The tile holds exactly what layers.ReLUForward would write, so
+// the result is bit-identical to the unfused ReLU→CONV, non-finite inputs
+// and weights included. Returns only y; the backward pass recovers the ReLU
+// mask from the saved pre-activation x.
 func ReLUConvForward(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := convCheck(conv, x, w); err != nil {
 		return nil, err
 	}
-	y := conv.Alloc().Get(conv.OutShape(x.Shape())...)
+	a := conv.Alloc()
+	y := a.Get(conv.OutShape(x.Shape())...)
 	n, cin, h, wd := x.Dims4()
 	_, cout, oh, ow := y.Dims4()
 	geom := conv.SampleGeom(h, wd)
 	inLen, outLen := cin*h*wd, cout*oh*ow
 	xd, wdat, yd := x.Data, w.Data, y.Data
 	// Sample split on the conv's pool: per-sample outputs are disjoint, so
-	// pooled execution is bit-identical to serial. The per-sample body is the
-	// blocked RCF kernel (inline ReLU on each ifmap read).
-	conv.Pool().Run(n, func(nLo, nHi int) {
+	// pooled execution is bit-identical to serial. Each chunk owns one tile
+	// of the dispatcher-carved slab, so workers never touch the arena.
+	slab := a.Floats(conv.Pool().NumChunks(n) * inLen)
+	conv.Pool().RunChunked(n, func(chunk, nLo, nHi int) {
+		tile := slab[chunk*inLen : (chunk+1)*inLen]
 		for in := nLo; in < nHi; in++ {
-			geom.ForwardSampleReLU(xd[in*inLen:(in+1)*inLen], wdat, yd[in*outLen:(in+1)*outLen])
+			for i, v := range xd[in*inLen : (in+1)*inLen] {
+				if v > 0 {
+					tile[i] = v
+				} else {
+					tile[i] = 0
+				}
+			}
+			geom.ForwardSample(tile, wdat, yd[in*outLen:(in+1)*outLen], nil)
 		}
 	})
+	a.PutFloats(slab)
 	return y, nil
 }
 

@@ -5,14 +5,15 @@ import (
 )
 
 // This file is the blocked compute core: a packed-panel, register-tiled GEMM
-// (gemmBlocked) and a blocked direct-convolution sample kernel (ConvGeom)
-// shared by Conv2D, FC, the GEMM oracle, and the fused kernels in
-// internal/kernels.
+// (gemmBlocked) and blocked direct-convolution sample kernels (ConvGeom's
+// forward and gather-form backward) shared by Conv2D, FC, the GEMM oracle,
+// and the fused kernels in internal/kernels.
 //
 // Bit-identity contract: float32 addition is not associative, so every kernel
 // here accumulates each output element with a SINGLE accumulator chain over
 // the same term order as the straight-line reference loops (k ascending for
-// GEMM, (ig, ky, kx) ascending for convolution). Register tiling only fans
+// GEMM, (ig, ky, kx) ascending for the convolution forward, the scatter
+// loop's order for its gradients; see backwardSample). Register tiling only fans
 // out across DIFFERENT output elements — each keeps its own accumulator — and
 // cache blocking over k reads C back between k-blocks, which extends the same
 // chain: ((0+t0)+t1 stored, then +t2+t3) ≡ (((0+t0)+t1)+t2)+t3. No term is
@@ -329,91 +330,223 @@ func (g ConvGeom) convQuad(x, w, out []float32, icLo, wBase, iy0, kyLo, kyHi, ix
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
 
-// ForwardSampleReLU is ForwardSample with the paper's RCF rectification
-// applied as each input element is loaded (only positive values contribute),
-// and no bias. The skip matches the reference RCF loop exactly: a
-// non-positive element adds nothing, rather than adding v·0.
-//
-// hot-path: RCF twin of ForwardSample.
-func (g ConvGeom) ForwardSampleReLU(x, w, y []float32) {
-	oxLo, oxHi := g.interiorOX()
-	for oc := 0; oc < g.Cout; oc++ {
-		icLo := (oc / g.CoutG) * g.CinG
-		wBase := oc * g.CinG * g.KH * g.KW
-		outBase := oc * g.OH * g.OW
-		for oy := 0; oy < g.OH; oy++ {
-			iy0 := oy*g.S - g.P
-			kyLo, kyHi := clampRange(iy0, g.KH, g.H)
-			yRow := y[outBase+oy*g.OW : outBase+(oy+1)*g.OW]
-			ox := 0
-			for ; ox < oxLo; ox++ {
-				yRow[ox] = g.convPointReLU(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P)
-			}
-			for ; ox+4 <= oxHi; ox += 4 {
-				g.convQuadReLU(x, w, yRow[ox:ox+4], icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P)
-			}
-			for ; ox < g.OW; ox++ {
-				yRow[ox] = g.convPointReLU(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P)
-			}
-		}
+// tapOutRange returns the [lo, hi) range of output positions o < n whose
+// input coordinate o*s+off lands inside [0, lim) — the outputs a kernel tap
+// at offset off (tap index minus padding) touches. hi never drops below lo.
+func tapOutRange(off, s, lim, n int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + s - 1) / s
 	}
+	if last := lim - 1 - off; last >= 0 {
+		hi = min(last/s+1, n)
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
 }
 
-// convPointReLU is convPoint with the inline ReLU on the ifmap read.
+// inOutRange returns the [lo, hi) range of output positions o < n whose
+// kernel window covers input coordinate i: the o with t = i+p−o·s in
+// [0, kdim). Ascending o visits the taps t in descending order.
+func inOutRange(i, p, s, kdim, n int) (lo, hi int) {
+	if u := i + p - kdim + 1; u > 0 {
+		lo = (u + s - 1) / s
+	}
+	hi = min((i+p)/s+1, n)
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// backwardSample accumulates one sample's gradients into dx (Cin,H,W) and
+// dw (the weight shape), given its input x, the weights w and the upstream
+// gradient dy (Cout,OH,OW). It is the gather form of the scatter loop
 //
-// hot-path: border-column body of ForwardSampleReLU.
-func (g ConvGeom) convPointReLU(x, w []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 int) float32 {
-	kxLo, kxHi := clampRange(ix0, g.KW, g.W)
-	hw := g.H * g.W
-	var acc float32
-	for ig := 0; ig < g.CinG; ig++ {
-		inBase := (icLo + ig) * hw
-		wcBase := wBase + ig*g.KH*g.KW
-		for ky := kyLo; ky < kyHi; ky++ {
-			row := inBase + (iy0+ky)*g.W + ix0
-			wrow := wcBase + ky*g.KW
-			for kx := kxLo; kx < kxHi; kx++ {
-				if v := x[row+kx]; v > 0 {
-					acc += v * w[wrow+kx]
+//	for oc, oy, ox: for ig, ky, kx: dx[ic,iy,ix] += w·dy; dw[oc,ig,ky,kx] += x·dy
+//
+// with every gradient element on ONE accumulator chain, seeded from the
+// buffer it accumulates into, over exactly the scatter's term order: (oy, ox)
+// ascending for each dW element, (oc, oy, ox) ascending — ky and kx
+// descending — for each dX element. So calling it once per sample in sample
+// order is bit-identical to the scatter loop over the batch. No term is
+// skipped: 0·Inf = NaN propagates as in the unfused reference.
+//
+// hot-path: the backward twin of ForwardSample; caller buffers only.
+func (g ConvGeom) backwardSample(x, w, dy, dx, dw []float32) {
+	g.backwardWeights(x, dy, dw)
+	g.backwardData(w, dy, dx)
+}
+
+// backwardWeights gathers dW in tiles of up to four output channels of one
+// group: the four share each x load and keep one accumulator each. A tile of
+// two or three clamps its spare lanes onto the last real channel, which
+// recomputes that channel's chain and stores the identical value again.
+//
+// hot-path: dW half of backwardSample.
+func (g ConvGeom) backwardWeights(x, dy, dw []float32) {
+	hw, ohow, khkw := g.H*g.W, g.OH*g.OW, g.KH*g.KW
+	ocStride := g.CinG * khkw
+	for oc0 := 0; oc0 < g.Cout; oc0 += g.CoutG {
+		icLo := (oc0 / g.CoutG) * g.CinG
+		ocEnd := oc0 + g.CoutG
+		for oc := oc0; oc < ocEnd; oc += 4 {
+			last := min(4, ocEnd-oc) - 1
+			dyT := dy[oc*ohow : (oc+last+1)*ohow]
+			l1, l2, l3 := min(1, last), min(2, last), min(3, last)
+			for ig := 0; ig < g.CinG; ig++ {
+				xc := x[(icLo+ig)*hw : (icLo+ig+1)*hw]
+				wi := (oc*g.CinG + ig) * khkw
+				for ky := 0; ky < g.KH; ky++ {
+					oyLo, oyHi := tapOutRange(ky-g.P, g.S, g.H, g.OH)
+					for kx := 0; kx < g.KW; kx++ {
+						oxLo, oxHi := tapOutRange(kx-g.P, g.S, g.W, g.OW)
+						t := wi + ky*g.KW + kx
+						if last == 0 {
+							dw[t] = g.dwPoint(xc, dyT, dw[t], ky, kx, oyLo, oyHi, oxLo, oxHi)
+							continue
+						}
+						g.dwQuad(xc, dyT, dw, ky, kx, oyLo, oyHi, oxLo, oxHi,
+							t, t+l1*ocStride, t+l2*ocStride, t+l3*ocStride, l1*ohow, l2*ohow, l3*ohow)
+					}
 				}
 			}
 		}
 	}
-	return acc
 }
 
-// convQuadReLU is convQuad with the inline ReLU on each ifmap read.
+// dwPoint extends one dW element's chain a0 over the tap's output window.
 //
-// hot-path: interior register tile of ForwardSampleReLU.
-func (g ConvGeom) convQuadReLU(x, w, out []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 int) {
+// hot-path: single-channel (depthwise) tile of backwardWeights.
+func (g ConvGeom) dwPoint(xc, d []float32, a0 float32, ky, kx, oyLo, oyHi, oxLo, oxHi int) float32 {
 	s := g.S
-	hw := g.H * g.W
-	var a0, a1, a2, a3 float32
-	for ig := 0; ig < g.CinG; ig++ {
-		inBase := (icLo + ig) * hw
-		wcBase := wBase + ig*g.KH*g.KW
-		for ky := kyLo; ky < kyHi; ky++ {
-			row := inBase + (iy0+ky)*g.W + ix0
-			wrow := wcBase + ky*g.KW
-			for kx := 0; kx < g.KW; kx++ {
-				wv := w[wrow+kx]
-				base := row + kx
-				if v := x[base]; v > 0 {
-					a0 += v * wv
-				}
-				if v := x[base+s]; v > 0 {
-					a1 += v * wv
-				}
-				if v := x[base+2*s]; v > 0 {
-					a2 += v * wv
-				}
-				if v := x[base+3*s]; v > 0 {
-					a3 += v * wv
+	for oy := oyLo; oy < oyHi; oy++ {
+		xr := (oy*s-g.P+ky)*g.W + kx - g.P
+		dr := d[oy*g.OW : (oy+1)*g.OW]
+		for ox := oxLo; ox < oxHi; ox++ {
+			a0 += xc[xr+ox*s] * dr[ox]
+		}
+	}
+	return a0
+}
+
+// dwQuad extends four dW chains (weight indices i0..i3, dy lanes at offsets
+// 0, o1, o2, o3 into d) over one tap's output window.
+//
+// hot-path: register tile of backwardWeights.
+func (g ConvGeom) dwQuad(xc, d, dw []float32, ky, kx, oyLo, oyHi, oxLo, oxHi, i0, i1, i2, i3, o1, o2, o3 int) {
+	s := g.S
+	a0, a1, a2, a3 := dw[i0], dw[i1], dw[i2], dw[i3]
+	for oy := oyLo; oy < oyHi; oy++ {
+		xr := (oy*s-g.P+ky)*g.W + kx - g.P
+		r := oy * g.OW
+		d0 := d[r : r+g.OW]
+		d1 := d[r+o1 : r+o1+g.OW]
+		d2 := d[r+o2 : r+o2+g.OW]
+		d3 := d[r+o3 : r+o3+g.OW]
+		for ox := oxLo; ox < oxHi; ox++ {
+			xv := xc[xr+ox*s]
+			a0 += xv * d0[ox]
+			a1 += xv * d1[ox]
+			a2 += xv * d2[ox]
+			a3 += xv * d3[ox]
+		}
+	}
+	dw[i0], dw[i1], dw[i2], dw[i3] = a0, a1, a2, a3
+}
+
+// backwardData gathers dX in tiles of up to four input channels of one
+// group: the four share each dy load and keep one accumulator each, with the
+// same spare-lane clamp as backwardWeights.
+//
+// hot-path: dX half of backwardSample.
+func (g ConvGeom) backwardData(w, dy, dx []float32) {
+	hw, khkw := g.H*g.W, g.KH*g.KW
+	for ic0 := 0; ic0 < g.Cin; ic0 += g.CinG {
+		ocLo := (ic0 / g.CinG) * g.CoutG
+		dyG := dy[ocLo*g.OH*g.OW:]
+		icEnd := ic0 + g.CinG
+		for ic := ic0; ic < icEnd; ic += 4 {
+			last := min(4, icEnd-ic) - 1
+			l1, l2, l3 := min(1, last), min(2, last), min(3, last)
+			wT := w[(ocLo*g.CinG+ic-ic0)*khkw:]
+			for iy := 0; iy < g.H; iy++ {
+				oyLo, oyHi := inOutRange(iy, g.P, g.S, g.KH, g.OH)
+				for ix := 0; ix < g.W; ix++ {
+					oxLo, oxHi := inOutRange(ix, g.P, g.S, g.KW, g.OW)
+					p := ic*hw + iy*g.W + ix
+					if last == 0 {
+						dx[p] = g.dxPoint(wT, dyG, dx[p], iy, ix, oyLo, oyHi, oxLo, oxHi)
+						continue
+					}
+					g.dxQuad(wT, dyG, dx, iy, ix, oyLo, oyHi, oxLo, oxHi,
+						p, p+l1*hw, p+l2*hw, p+l3*hw, l1*khkw, l2*khkw, l3*khkw)
 				}
 			}
 		}
 	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+}
+
+// dxPoint extends one dX element's chain a0 over its (oc, oy, ox) window.
+// w starts at the element's (first oc, ic) filter, d at the group's first
+// output channel.
+//
+// hot-path: single-channel (depthwise) tile of backwardData.
+func (g ConvGeom) dxPoint(w, d []float32, a0 float32, iy, ix, oyLo, oyHi, oxLo, oxHi int) float32 {
+	s, ohow, wStride := g.S, g.OH*g.OW, g.CinG*g.KH*g.KW
+	for oc := 0; oc < g.CoutG; oc++ {
+		wo, do := oc*wStride, oc*ohow
+		for oy := oyLo; oy < oyHi; oy++ {
+			wr := wo + (iy+g.P-oy*s)*g.KW + ix + g.P
+			dr := do + oy*g.OW
+			for ox := oxLo; ox < oxHi; ox++ {
+				a0 += w[wr-ox*s] * d[dr+ox]
+			}
+		}
+	}
+	return a0
+}
+
+// dxQuad extends four dX chains (dx indices i0..i3, filter lanes at offsets
+// 0, o1, o2, o3 into w) over the pixel's (oc, oy, ox) window.
+//
+// hot-path: register tile of backwardData.
+func (g ConvGeom) dxQuad(w, d, dx []float32, iy, ix, oyLo, oyHi, oxLo, oxHi, i0, i1, i2, i3, o1, o2, o3 int) {
+	s, ohow, wStride := g.S, g.OH*g.OW, g.CinG*g.KH*g.KW
+	a0, a1, a2, a3 := dx[i0], dx[i1], dx[i2], dx[i3]
+	if oyHi-oyLo == 1 && oxHi-oxLo == 1 {
+		// One tap per output channel (every stride-1 1×1 conv): the chain
+		// runs over oc alone, so hoist the tap out of the oc loop.
+		wi := (iy+g.P-oyLo*s)*g.KW + ix + g.P - oxLo*s
+		di := oyLo*g.OW + oxLo
+		for oc := 0; oc < g.CoutG; oc++ {
+			dv := d[oc*ohow+di]
+			wo := oc*wStride + wi
+			a0 += w[wo] * dv
+			a1 += w[wo+o1] * dv
+			a2 += w[wo+o2] * dv
+			a3 += w[wo+o3] * dv
+		}
+		dx[i0], dx[i1], dx[i2], dx[i3] = a0, a1, a2, a3
+		return
+	}
+	for oc := 0; oc < g.CoutG; oc++ {
+		wo, do := oc*wStride, oc*ohow
+		for oy := oyLo; oy < oyHi; oy++ {
+			wr := wo + (iy+g.P-oy*s)*g.KW + ix + g.P
+			dr := do + oy*g.OW
+			for ox := oxLo; ox < oxHi; ox++ {
+				dv := d[dr+ox]
+				wi := wr - ox*s
+				a0 += w[wi] * dv
+				a1 += w[wi+o1] * dv
+				a2 += w[wi+o2] * dv
+				a3 += w[wi+o3] * dv
+			}
+		}
+	}
+	dx[i0], dx[i1], dx[i2], dx[i3] = a0, a1, a2, a3
 }
 
 // im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)

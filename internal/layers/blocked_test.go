@@ -59,6 +59,53 @@ func legacyConvForward(c Conv2D, x, w *tensor.Tensor, bias []float32) *tensor.Te
 	return y
 }
 
+// legacyConvBackward is the pre-gather scatter loop for the convolution's
+// backward pass (dX and dW accumulate into the caller's buffers), kept here
+// as the oracle the gather kernel must match bit for bit. skipZero restores
+// its old dy == 0 skip. With finite inputs that skip changes no bit (a ±0
+// term leaves any accumulator but −0 unchanged), but it drops the
+// 0·Inf = NaN terms the unfused reference keeps.
+func legacyConvBackward(c Conv2D, dy, x, w, dx, dw *tensor.Tensor, skipZero bool) {
+	n, cin, h, wd := x.Dims4()
+	_, cout, oh, ow := dy.Dims4()
+	kh, kw, s, p := c.KernelH, c.KernelW, c.Stride, c.Pad
+	g := c.groups()
+	cinG, coutG := cin/g, cout/g
+	for in := 0; in < n; in++ {
+		for oc := 0; oc < cout; oc++ {
+			icLo := (oc / coutG) * cinG
+			wBase := oc * cinG * kh * kw
+			outBase := (in*cout + oc) * oh * ow
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					gv := dy.Data[outBase+oy*ow+ox]
+					if skipZero && gv == 0 {
+						continue
+					}
+					for ig := 0; ig < cinG; ig++ {
+						inBase := (in*cin + icLo + ig) * h * wd
+						wcBase := wBase + ig*kh*kw
+						for ky := 0; ky < kh; ky++ {
+							iy := oy*s - p + ky
+							if iy < 0 || iy >= h {
+								continue
+							}
+							for kx := 0; kx < kw; kx++ {
+								ix := ox*s - p + kx
+								if ix < 0 || ix >= wd {
+									continue
+								}
+								dx.Data[inBase+iy*wd+ix] += w.Data[wcBase+ky*kw+kx] * gv
+								dw.Data[wcBase+ky*kw+kx] += x.Data[inBase+iy*wd+ix] * gv
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // naiveGEMM is the unblocked reference C += A·B (or A·Bᵀ): ascending k, one
 // accumulator chain per element, no zero-skip.
 func naiveGEMM(c, a, b []float32, bTrans bool, m, n, k int) {
@@ -200,6 +247,116 @@ func TestQuickBlockedConvBitIdentity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// backwardCase returns a random backward problem: x, w and dy from the
+// seed, and dX/dW buffers pre-seeded with random values, because the kernel
+// accumulates into whatever the caller hands it (Split fan-ins share dX).
+func backwardCase(seed uint64, conv Conv2D, n, hw int) (x, w, dy, dx, dw *tensor.Tensor) {
+	x, w = randomConvCase(seed, conv, n, hw)
+	rng := tensor.NewRNG(seed + 1)
+	dy = tensor.New(conv.OutShape(x.Shape())...)
+	rng.FillNormal(dy, 0, 1)
+	dx, dw = tensor.New(x.Shape()...), tensor.New(w.Shape()...)
+	rng.FillNormal(dx, 0, 1)
+	rng.FillNormal(dw, 0, 1)
+	return x, w, dy, dx, dw
+}
+
+// gatherMatchesScatter runs the serial gather kernel and the legacy scatter
+// loop from identical seeded buffers and reports whether dX and dW match
+// bitwise.
+func gatherMatchesScatter(conv Conv2D, x, w, dy, dx0, dw0 *tensor.Tensor, skipZero bool) (dxOK, dwOK bool) {
+	wantDX, wantDW := dx0.Clone(), dw0.Clone()
+	legacyConvBackward(conv, dy, x, w, wantDX, wantDW, skipZero)
+	gotDX, gotDW := dx0.Clone(), dw0.Clone()
+	if err := conv.BackwardInto(dy, x, w, gotDX, gotDW); err != nil {
+		return false, false
+	}
+	return bitsEqual(gotDX.Data, wantDX.Data), bitsEqual(gotDW.Data, wantDW.Data)
+}
+
+// Property: the gather backward ≡ the legacy scatter loop (with its dy == 0
+// skip) bitwise over random geometries — channel counts that leave 1-, 2-
+// and 3-wide edge tiles, kernels 1..7, strides 1..3, pads up to and beyond
+// the kernel reach, groups {1, 2, 4} and depthwise — with random seeded
+// accumulators and exact zeros in dy.
+func TestQuickConvBackwardBitIdentity(t *testing.T) {
+	f := func(seed uint64, cBits, kBits, sBits, pBits, gBits, hwBits, nBits uint8) bool {
+		k := []int{1, 3, 5, 7}[kBits%4]
+		s := 1 + int(sBits%3)
+		p := int(pBits) % (k/2 + 2)
+		hw := max(k-2*p, 1) + int(hwBits%9)
+		n := 1 + int(nBits%2)
+		var conv Conv2D
+		switch grp := []int{1, 2, 4, 0}[gBits%4]; grp {
+		case 0: // depthwise
+			conv = NewDepthwiseConv2D(1+int(cBits%6), k, s, p)
+		default:
+			cin := grp * (1 + int(cBits%5))
+			cout := grp * (1 + int(cBits/5%6))
+			conv = NewConv2D(cin, cout, k, s, p)
+			conv.Groups = grp
+		}
+		x, w, dy, dx, dw := backwardCase(seed, conv, n, hw)
+		for i := int(seed % 5); i < len(dy.Data); i += 5 {
+			dy.Data[i] = 0
+		}
+		dxOK, dwOK := gatherMatchesScatter(conv, x, w, dy, dx, dw, true)
+		if !dxOK || !dwOK {
+			t.Logf("conv %+v n=%d hw=%d: dX match %v, dW match %v", conv, n, hw, dxOK, dwOK)
+		}
+		return dxOK && dwOK
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The gather kernel skips no term, so non-finite values in x, w or dy reach
+// the gradients exactly as in a scatter loop without the old dy == 0 skip:
+// 0·Inf = NaN lands in dX and dW. The old skipping loop dropped those NaNs.
+func TestConvBackwardNonFiniteMatchesNoSkipReference(t *testing.T) {
+	for _, conv := range []Conv2D{
+		NewConv2D(5, 6, 3, 1, 1),
+		NewConv2D(3, 4, 3, 2, 1),
+		NewDepthwiseConv2D(3, 3, 1, 1),
+	} {
+		x, w, dy, dx, dw := backwardCase(17, conv, 2, 6)
+		inf := float32(math.Inf(1))
+		x.Data[7], x.Data[len(x.Data)-9] = inf, -inf
+		w.Data[4] = float32(math.NaN())
+		w.Data[len(w.Data)-1] = -inf
+		dy.Data[3] = inf
+		for i := 0; i < len(dy.Data); i += 2 {
+			dy.Data[i] = 0
+		}
+		dxOK, dwOK := gatherMatchesScatter(conv, x, w, dy, dx, dw, false)
+		if !dxOK || !dwOK {
+			t.Errorf("conv %+v: gather differs from the no-skip scatter reference on non-finite input (dX match %v, dW match %v)",
+				conv, dxOK, dwOK)
+		}
+		// The skipping loop swallows 0·Inf: the vector must exercise that.
+		gotDX, gotDW := dx.Clone(), dw.Clone()
+		if err := conv.BackwardInto(dy, x, w, gotDX, gotDW); err != nil {
+			t.Fatal(err)
+		}
+		skipDX, skipDW := dx.Clone(), dw.Clone()
+		legacyConvBackward(conv, dy, x, w, skipDX, skipDW, true)
+		if nanCount(gotDX.Data)+nanCount(gotDW.Data) <= nanCount(skipDX.Data)+nanCount(skipDW.Data) {
+			t.Errorf("conv %+v: test vector does not exercise the removed dy == 0 skip", conv)
+		}
+	}
+}
+
+func nanCount(v []float32) int {
+	n := 0
+	for _, x := range v {
+		if math.IsNaN(float64(x)) {
+			n++
+		}
+	}
+	return n
 }
 
 // The GEMM oracle must agree with the direct kernels on non-finite inputs:
@@ -388,10 +545,12 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ForwardSample allocates %v per run, want 0", allocs)
 	}
+	dx := make([]float32, len(x))
+	dw := make([]float32, len(w))
 	if allocs := testing.AllocsPerRun(10, func() {
-		geom.ForwardSampleReLU(x, w, y)
+		geom.backwardSample(x, w, y, dx, dw)
 	}); allocs != 0 {
-		t.Errorf("ForwardSampleReLU allocates %v per run, want 0", allocs)
+		t.Errorf("backwardSample allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -415,6 +574,34 @@ func BenchmarkConvForwardLegacy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		legacyConvForward(conv, x, w, nil)
+	}
+}
+
+// Bench pair: the gather backward against the legacy scatter loop on the
+// same layer, accumulating into the same buffers every iteration.
+func BenchmarkConvBackwardBlocked(b *testing.B) {
+	conv := NewConv2D(64, 64, 3, 1, 1)
+	x, w := randomConvCase(5, conv, 1, 16)
+	dy := tensor.New(conv.OutShape(x.Shape())...)
+	tensor.NewRNG(6).FillNormal(dy, 0, 1)
+	dx, dw := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
+	b.SetBytes(int64(4 * len(x.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.backwardInto(dy, x, w, dx, dw)
+	}
+}
+
+func BenchmarkConvBackwardLegacy(b *testing.B) {
+	conv := NewConv2D(64, 64, 3, 1, 1)
+	x, w := randomConvCase(5, conv, 1, 16)
+	dy := tensor.New(conv.OutShape(x.Shape())...)
+	tensor.NewRNG(6).FillNormal(dy, 0, 1)
+	dx, dw := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
+	b.SetBytes(int64(4 * len(x.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		legacyConvBackward(conv, dy, x, w, dx, dw, true)
 	}
 }
 

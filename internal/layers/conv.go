@@ -240,51 +240,22 @@ func (c Conv2D) BackwardInto(dy, x, w, dx, dw *tensor.Tensor) error {
 	return nil
 }
 
-// backwardInto runs the combined dX/dW inner loops into caller buffers. The
-// tap loops run over clamped (ky, kx) ranges instead of testing bounds per
-// iteration; the skipped iterations contributed nothing, so the accumulation
-// order over the surviving terms is unchanged — bit-identical to the
-// reference loop. The dy==0 skip stays: a zero upstream gradient contributes
-// ±0 to accumulators that already hold finite or non-finite values alike.
+// backwardInto accumulates the dX/dW gradients of the batch into caller
+// buffers, one sample at a time in sample order through the gather kernel
+// (ConvGeom.backwardSample). Each dW element's chain runs over (n, oy, ox)
+// ascending and each dX element's over (oc, oy, ox), the order of the
+// straight-line scatter loop, so the result is bit-identical to it. No
+// zero-gradient term is skipped: with ±Inf in x or w, 0·Inf = NaN reaches
+// the gradient exactly as in the unfused reference.
 //
 // hot-path: the backward twin of forwardInto; no per-call allocation.
 func (c Conv2D) backwardInto(dy, x, w, dx, dw *tensor.Tensor) {
 	n, cin, h, wd := x.Dims4()
 	_, cout, oh, ow := dy.Dims4()
 	geom := c.SampleGeom(h, wd)
-	kh, kw, s, p := c.KernelH, c.KernelW, c.Stride, c.Pad
-	cinG, coutG := geom.CinG, geom.CoutG
-
-	xd, wdat, dyd, dxd, dwd := x.Data, w.Data, dy.Data, dx.Data, dw.Data
+	inLen, outLen := cin*h*wd, cout*oh*ow
 	for in := 0; in < n; in++ {
-		for oc := 0; oc < cout; oc++ {
-			icLo := (oc / coutG) * cinG
-			wBase := oc * cinG * kh * kw
-			outBase := (in*cout + oc) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*s - p
-				kyLo, kyHi := clampRange(iy0, kh, h)
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*s - p
-					g := dyd[outBase+oy*ow+ox]
-					if g == 0 {
-						continue
-					}
-					kxLo, kxHi := clampRange(ix0, kw, wd)
-					for ig := 0; ig < cinG; ig++ {
-						inBase := (in*cin + icLo + ig) * h * wd
-						wcBase := wBase + ig*kh*kw
-						for ky := kyLo; ky < kyHi; ky++ {
-							row := inBase + (iy0+ky)*wd + ix0
-							wrow := wcBase + ky*kw
-							for kx := kxLo; kx < kxHi; kx++ {
-								dxd[row+kx] += wdat[wrow+kx] * g
-								dwd[wrow+kx] += xd[row+kx] * g
-							}
-						}
-					}
-				}
-			}
-		}
+		geom.backwardSample(x.Data[in*inLen:(in+1)*inLen], w.Data,
+			dy.Data[in*outLen:(in+1)*outLen], dx.Data[in*inLen:(in+1)*inLen], dw.Data)
 	}
 }

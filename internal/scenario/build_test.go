@@ -75,6 +75,7 @@ func TestServeConfigMapping(t *testing.T) {
 	o := validServe()
 	o.Traffic = TrafficOverload
 	o.Replicas = 1
+	o.QueueDepth, o.MaxBatch, o.Clients = 2, 4, 12
 	if err := o.Normalize(); err != nil {
 		t.Fatal(err)
 	}

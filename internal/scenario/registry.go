@@ -268,9 +268,10 @@ func Builtin() *Registry {
 			Requests: 48,
 		},
 		// The fleet overload twin of serve/tiny-densenet/overload: the same
-		// 20 ms service floor and 2-deep queues, but 12 clients press
-		// against two single-replica backends through the proxy — requests
-		// shed only once every backend's queue is full.
+		// 20 ms service floor and 2-deep queues, but 24 clients press
+		// against two single-replica backends through the proxy — twice the
+		// 2 × (2 + 4) = 12 requests the fleet can hold, so requests shed
+		// even after the proxy fails a 429 over to the other backend.
 		Spec{
 			Name:           "serve/fleet/tiny-densenet/proxy-overload",
 			Kind:           KindServe,
@@ -279,7 +280,7 @@ func Builtin() *Registry {
 			Traffic:        TrafficProxyOverload,
 			Backends:       2,
 			Requests:       48,
-			Clients:        12,
+			Clients:        24,
 			QueueDepth:     2,
 			MaxBatch:       4,
 			ServiceFloorMS: 20,

@@ -362,6 +362,22 @@ func (s *Spec) normalizeServe() error {
 	} else if s.Policy != "" {
 		return fmt.Errorf("scenario %q: policy applies only to fleet scenarios (backends > 0)", s.Name)
 	}
+	if s.Traffic == TrafficOverload || s.Traffic == TrafficProxyOverload {
+		// The drill's clients all hold a request at once (they start behind
+		// a shared barrier). They must outnumber every request the serving
+		// side can absorb, or a proxy that fails a 429 over to another
+		// backend may find room and shedding becomes a timing race. The
+		// capacity counts the queue once per replica, an overestimate; a
+		// direct (proxy-less) spec has one backend.
+		queue := s.QueueDepth
+		if queue == 0 {
+			queue = 4 * s.MaxBatch * s.Replicas // serve.Config's default
+		}
+		if capacity := max(s.Backends, 1) * s.Replicas * (queue + s.MaxBatch); s.Clients <= capacity {
+			return fmt.Errorf("scenario %q: %s needs more than %d clients (backends × replicas × (queue_depth + max_batch)), got %d",
+				s.Name, s.Traffic, capacity, s.Clients)
+		}
+	}
 	return nil
 }
 

@@ -151,6 +151,18 @@ func TestNormalizeErrorPaths(t *testing.T) {
 		{"one-backend fleet drill", func(s *Spec) { s.Traffic = TrafficBackendCrash; s.Backends = 1 }, "2 backends"},
 		{"policy without backends", func(s *Spec) { s.Policy = "hash" }, "backends > 0"},
 		{"unknown policy", func(s *Spec) { s.Traffic = TrafficProxyOverload; s.Policy = "sticky" }, "unknown policy"},
+		// Overload clients must outnumber backends × replicas × (queue +
+		// batch): 2 × 1 × (2 + 4) = 12, so 12 clients is a timing race.
+		{"proxy overload at capacity", func(s *Spec) {
+			s.Traffic, s.Replicas, s.QueueDepth, s.MaxBatch, s.Clients = TrafficProxyOverload, 1, 2, 4, 12
+		}, "more than 12 clients"},
+		{"overload at capacity", func(s *Spec) {
+			s.Traffic, s.Replicas, s.QueueDepth, s.MaxBatch, s.Clients = TrafficOverload, 1, 2, 4, 6
+		}, "more than 6 clients"},
+		// A zero queue depth counts serve's default of 4 × MaxBatch × Replicas.
+		{"overload default queue", func(s *Spec) {
+			s.Traffic, s.Replicas, s.MaxBatch, s.Clients = TrafficOverload, 1, 4, 20
+		}, "more than 20 clients"},
 	}
 	for _, tc := range serveCases {
 		s := validServe()
@@ -207,8 +219,11 @@ func TestChecksPerShape(t *testing.T) {
 	for traffic, extra := range wantExtra {
 		s := validServe()
 		s.Traffic = traffic
-		if traffic == TrafficCrash {
+		switch traffic {
+		case TrafficCrash:
 			s.Replicas = 2
+		case TrafficOverload, TrafficProxyOverload:
+			s.QueueDepth, s.MaxBatch, s.Clients = 2, 4, 64
 		}
 		if err := s.Normalize(); err != nil {
 			t.Fatalf("%s: %v", traffic, err)
