@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard perfbench-smoke check
+.PHONY: build test vet race lint bitident bench smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard perfbench-smoke check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,13 @@ race:
 # suppression whose finding disappears is itself flagged (staleignore).
 lint:
 	$(GO) run ./cmd/bnff-lint ./...
+
+# The bit-identity and non-finite properties of the blocked kernels under 25
+# fresh testing/quick seeds: an edge geometry that only some random draws hit
+# (a register tile reading past a row, a spare lane on the wrong channel)
+# surfaces here rather than once in a while in "test". A few seconds.
+bitident:
+	$(GO) test -count=25 -run 'Quick|BitIdentical|NonFinite' ./internal/layers ./internal/kernels
 
 # Package-level benchmarks live next to their packages (layers, kernels,
 # parallel, ...), so bench sweeps the whole module, not just the root.
@@ -90,4 +97,4 @@ alloc-guard:
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 
-check: vet race lint smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard perfbench-smoke
+check: vet race lint bitident smoke fleet-smoke profile-smoke exp-smoke ddp-smoke alloc-guard perfbench-smoke

@@ -1,10 +1,12 @@
 // Package kernels implements the fused numeric kernels that BN
 // Fission-n-Fusion substitutes for baseline layer sequences:
 //
-//   - ConvForwardStats — CONV1-(sub-BN1): the convolution accumulates Σx and
-//     Σx² of its own outputs per channel while writing them, then closes the
-//     statistics with the MVF identity V(X) = E(X²) − E(X)². One sweep
-//     instead of three (paper Figure 5a: O1, I2, I3 → O1').
+//   - ConvForwardStats — CONV1-(sub-BN1): after the convolution writes y, a
+//     second pass over y accumulates Σx and Σx² per channel, and the MVF
+//     identity V(X) = E(X²) − E(X)² closes the statistics. The paper folds
+//     the sums into the convolution's store (Figure 5a: O1, I2, I3 → O1');
+//     here the statistics pass still re-reads y once, so the fusion saves
+//     BN's own sweeps but not that re-read.
 //
 //   - FusedBNReLUConvForward — (sub-BN2)-ReLU-CONV2: normalization and ReLU
 //     clipping are applied while the following convolution reads its ifmap.
@@ -34,7 +36,7 @@ import (
 	"bnff/internal/tensor"
 )
 
-// ConvForwardStats computes y = conv(x, w) and, in the same output sweep,
+// ConvForwardStats computes y = conv(x, w) and then, in one pass over y,
 // the per-channel mini-batch statistics of y via the MVF identity. The
 // accumulators are float32, mirroring the paper's observation that single
 // precision suffices for E(X²) on activation-scale data.
@@ -153,14 +155,6 @@ func ReLUConvForward(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, e
 	})
 	a.PutFloats(slab)
 	return y, nil
-}
-
-// convGroups mirrors Conv2D's zero-value-means-dense convention.
-func convGroups(c layers.Conv2D) int {
-	if c.Groups <= 1 {
-		return 1
-	}
-	return c.Groups
 }
 
 // FusedBNReLUConvForward computes y = conv(ReLU(BN(x)), w) for the

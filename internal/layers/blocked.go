@@ -14,10 +14,12 @@ import (
 // the same term order as the straight-line reference loops (k ascending for
 // GEMM, (ig, ky, kx) ascending for the convolution forward, the scatter
 // loop's order for its gradients; see backwardSample). Register tiling only fans
-// out across DIFFERENT output elements — each keeps its own accumulator — and
-// cache blocking over k reads C back between k-blocks, which extends the same
-// chain: ((0+t0)+t1 stored, then +t2+t3) ≡ (((0+t0)+t1)+t2)+t3. No term is
-// ever skipped, so NaN/Inf propagate exactly as in the reference.
+// out across DIFFERENT output elements — each keeps its own accumulator, and a
+// partial tile's spare lanes repeat a real element's chain and store the
+// identical value — and cache blocking over k reads C back between k-blocks,
+// which extends the same chain: ((0+t0)+t1 stored, then +t2+t3) ≡
+// (((0+t0)+t1)+t2)+t3. No term is ever skipped, so NaN/Inf propagate exactly
+// as in the reference.
 
 // gemmBlocking returns the blocking derived from the default cache geometry.
 // It is computed per call (cheap: a handful of integer divides) because the
@@ -227,8 +229,8 @@ func clampRange(i0, kdim, lim int) (lo, hi int) {
 }
 
 // interiorOX returns the [lo, hi) span of output columns whose full KW tap
-// row lies inside the input width — the span the 4-wide register tile covers
-// without bounds checks.
+// row lies inside the input width — the span the 4-column register tile
+// covers without bounds checks.
 func (g ConvGeom) interiorOX() (lo, hi int) {
 	lo = (g.P + g.S - 1) / g.S
 	if last := g.W - g.KW + g.P; last >= 0 {
@@ -243,46 +245,88 @@ func (g ConvGeom) interiorOX() (lo, hi int) {
 	return lo, hi
 }
 
+// tileLanes returns the channel offsets of lanes 1..3 of a four-lane
+// register tile over n ≥ 1 real channels. Spare lanes (n < 4) point at the
+// last real channel: they recompute its chain and store the identical value
+// again.
+func tileLanes(n int) (l1, l2, l3 int) {
+	last := min(n, 4) - 1
+	return min(1, last), min(2, last), min(3, last)
+}
+
 // ForwardSample convolves one sample: x is (Cin,H,W) flat, w the full weight
-// tensor, y the (Cout,OH,OW) output, bias optional per-OC seeds. Interior
-// output columns run through a 4-wide register tile with clamped (hence
-// branch-free) tap ranges; border columns fall back to the single-column
-// body. Term order per output element is (ig, ky, kx) ascending on a single
-// accumulator chain — bit-identical to the straight-line reference loop.
+// tensor, y the (Cout,OH,OW) output, bias optional per-OC seeds. Output
+// channels of a group run in tiles of four (tileLanes): interior output
+// columns through the 4-channel × 4-column convTile, border and remainder
+// columns through the 4-channel × 1-column convColumn with the clamped kx
+// range. A one-channel tile (every depthwise group) runs the one-lane
+// convPoint body. Term order per output element is (ig, ky, kx) ascending on
+// a single accumulator chain seeded from the bias — bit-identical to the
+// straight-line reference loop.
 //
 // hot-path: the module's dominant FLOP loop; everything lives in caller
 // buffers and loop-local scalars.
 func (g ConvGeom) ForwardSample(x, w, y []float32, bias []float32) {
 	oxLo, oxHi := g.interiorOX()
-	for oc := 0; oc < g.Cout; oc++ {
-		icLo := (oc / g.CoutG) * g.CinG
-		wBase := oc * g.CinG * g.KH * g.KW
-		outBase := oc * g.OH * g.OW
-		var b0 float32
-		if bias != nil {
-			b0 = bias[oc]
-		}
-		for oy := 0; oy < g.OH; oy++ {
-			iy0 := oy*g.S - g.P
-			kyLo, kyHi := clampRange(iy0, g.KH, g.H)
-			yRow := y[outBase+oy*g.OW : outBase+(oy+1)*g.OW]
-			ox := 0
-			for ; ox < oxLo; ox++ {
-				yRow[ox] = g.convPoint(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P, b0)
+	ohow, ocStride := g.OH*g.OW, g.CinG*g.KH*g.KW
+	for oc0 := 0; oc0 < g.Cout; oc0 += g.CoutG {
+		icLo := (oc0 / g.CoutG) * g.CinG
+		ocEnd := oc0 + g.CoutG
+		for oc := oc0; oc < ocEnd; oc += 4 {
+			wBase := oc * ocStride
+			if ocEnd-oc == 1 {
+				g.forwardChannel(x, w, y[oc*ohow:(oc+1)*ohow], icLo, wBase, bias, oc)
+				continue
 			}
-			for ; ox+4 <= oxHi; ox += 4 {
-				g.convQuad(x, w, yRow[ox:ox+4], icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P, b0)
+			l1, l2, l3 := tileLanes(ocEnd - oc)
+			w1, w2, w3 := l1*ocStride, l2*ocStride, l3*ocStride
+			y1, y2, y3 := l1*ohow, l2*ohow, l3*ohow
+			var b0, b1, b2, b3 float32
+			if bias != nil {
+				b0, b1, b2, b3 = bias[oc], bias[oc+l1], bias[oc+l2], bias[oc+l3]
 			}
-			for ; ox < g.OW; ox++ {
-				yRow[ox] = g.convPoint(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P, b0)
+			for oy := 0; oy < g.OH; oy++ {
+				iy0 := oy*g.S - g.P
+				kyLo, kyHi := clampRange(iy0, g.KH, g.H)
+				yi := oc*ohow + oy*g.OW
+				for ox := 0; ox < g.OW; ox++ {
+					if ox >= oxLo && ox+4 <= oxHi {
+						g.convTile(x, w, y, icLo, wBase, w1, w2, w3, iy0, kyLo, kyHi, ox*g.S-g.P,
+							yi+ox, y1, y2, y3, b0, b1, b2, b3)
+						ox += 3
+						continue
+					}
+					a0, a1, a2, a3 := g.convColumn(x, w, icLo, wBase, w1, w2, w3, iy0, kyLo, kyHi, ox*g.S-g.P, b0, b1, b2, b3)
+					y[yi+ox], y[yi+ox+y1], y[yi+ox+y2], y[yi+ox+y3] = a0, a1, a2, a3
+				}
 			}
 		}
 	}
 }
 
-// convPoint computes one output column with clamped tap ranges.
+// forwardChannel convolves one output channel column by column: the
+// one-lane body of ForwardSample.
 //
-// hot-path: border-column body of ForwardSample.
+// hot-path: single-channel tile of ForwardSample.
+func (g ConvGeom) forwardChannel(x, w, yc []float32, icLo, wBase int, bias []float32, oc int) {
+	var b0 float32
+	if bias != nil {
+		b0 = bias[oc]
+	}
+	for oy := 0; oy < g.OH; oy++ {
+		iy0 := oy*g.S - g.P
+		kyLo, kyHi := clampRange(iy0, g.KH, g.H)
+		yRow := yc[oy*g.OW : (oy+1)*g.OW]
+		for ox := range yRow {
+			yRow[ox] = g.convPoint(x, w, icLo, wBase, iy0, kyLo, kyHi, ox*g.S-g.P, b0)
+		}
+	}
+}
+
+// convPoint computes one output column of one channel with clamped tap
+// ranges.
+//
+// hot-path: one-lane body of ForwardSample.
 func (g ConvGeom) convPoint(x, w []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 int, b0 float32) float32 {
 	kxLo, kxHi := clampRange(ix0, g.KW, g.W)
 	hw := g.H * g.W
@@ -301,33 +345,83 @@ func (g ConvGeom) convPoint(x, w []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 in
 	return acc
 }
 
-// convQuad computes four adjacent interior output columns in one pass: each
-// weight is loaded once and multiplied into four register accumulators (one
-// chain per output element, taps in the same (ig, ky, kx) order as
-// convPoint, so the results are bit-identical to four convPoint calls).
+// convColumn computes one output column of four channels (weights at wBase
+// and wBase+w1..w3) with the clamped kx range: each x load feeds four
+// accumulators, one chain per channel in convPoint's (ig, ky, kx) order.
 //
-// hot-path: interior register tile of ForwardSample.
-func (g ConvGeom) convQuad(x, w, out []float32, icLo, wBase, iy0, kyLo, kyHi, ix0 int, b0 float32) {
-	s := g.S
-	hw := g.H * g.W
-	a0, a1, a2, a3 := b0, b0, b0, b0
+// hot-path: border-column body of ForwardSample.
+func (g ConvGeom) convColumn(x, w []float32, icLo, wBase, w1, w2, w3, iy0, kyLo, kyHi, ix0 int, b0, b1, b2, b3 float32) (a0, a1, a2, a3 float32) {
+	kxLo, kxHi := clampRange(ix0, g.KW, g.W)
+	hw, khkw := g.H*g.W, g.KH*g.KW
+	a0, a1, a2, a3 = b0, b1, b2, b3
 	for ig := 0; ig < g.CinG; ig++ {
 		inBase := (icLo + ig) * hw
-		wcBase := wBase + ig*g.KH*g.KW
+		wcBase := wBase + ig*khkw
+		for ky := kyLo; ky < kyHi; ky++ {
+			row := inBase + (iy0+ky)*g.W + ix0
+			wrow := wcBase + ky*g.KW
+			for kx := kxLo; kx < kxHi; kx++ {
+				xv := x[row+kx]
+				wi := wrow + kx
+				a0 += xv * w[wi]
+				a1 += xv * w[wi+w1]
+				a2 += xv * w[wi+w2]
+				a3 += xv * w[wi+w3]
+			}
+		}
+	}
+	return a0, a1, a2, a3
+}
+
+// convTile is the 4-channel × 4-column register tile over four adjacent
+// interior output columns starting at input column ix0: per tap it loads
+// four weights (lanes at wBase and wBase+w1..w3) and four x values and
+// issues 16 multiply-adds into 16 accumulators, each one output element's
+// chain in convPoint's (ig, ky, kx) order. Results land at y[yi+j] and
+// y[yi+j+y1..y3] for column j.
+//
+// hot-path: interior register tile of ForwardSample.
+func (g ConvGeom) convTile(x, w, y []float32, icLo, wBase, w1, w2, w3, iy0, kyLo, kyHi, ix0, yi, y1, y2, y3 int, b0, b1, b2, b3 float32) {
+	s := g.S
+	hw, khkw := g.H*g.W, g.KH*g.KW
+	a00, a01, a02, a03 := b0, b0, b0, b0
+	a10, a11, a12, a13 := b1, b1, b1, b1
+	a20, a21, a22, a23 := b2, b2, b2, b2
+	a30, a31, a32, a33 := b3, b3, b3, b3
+	for ig := 0; ig < g.CinG; ig++ {
+		inBase := (icLo + ig) * hw
+		wcBase := wBase + ig*khkw
 		for ky := kyLo; ky < kyHi; ky++ {
 			row := inBase + (iy0+ky)*g.W + ix0
 			wrow := wcBase + ky*g.KW
 			for kx := 0; kx < g.KW; kx++ {
-				wv := w[wrow+kx]
-				base := row + kx
-				a0 += x[base] * wv
-				a1 += x[base+s] * wv
-				a2 += x[base+2*s] * wv
-				a3 += x[base+3*s] * wv
+				xi := row + kx
+				x0, x1, x2, x3 := x[xi], x[xi+s], x[xi+2*s], x[xi+3*s]
+				wi := wrow + kx
+				v0, v1, v2, v3 := w[wi], w[wi+w1], w[wi+w2], w[wi+w3]
+				a00 += x0 * v0
+				a01 += x1 * v0
+				a02 += x2 * v0
+				a03 += x3 * v0
+				a10 += x0 * v1
+				a11 += x1 * v1
+				a12 += x2 * v1
+				a13 += x3 * v1
+				a20 += x0 * v2
+				a21 += x1 * v2
+				a22 += x2 * v2
+				a23 += x3 * v2
+				a30 += x0 * v3
+				a31 += x1 * v3
+				a32 += x2 * v3
+				a33 += x3 * v3
 			}
 		}
 	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+	y[yi], y[yi+1], y[yi+2], y[yi+3] = a00, a01, a02, a03
+	y[yi+y1], y[yi+y1+1], y[yi+y1+2], y[yi+y1+3] = a10, a11, a12, a13
+	y[yi+y2], y[yi+y2+1], y[yi+y2+2], y[yi+y2+3] = a20, a21, a22, a23
+	y[yi+y3], y[yi+y3+1], y[yi+y3+2], y[yi+y3+3] = a30, a31, a32, a33
 }
 
 // tapOutRange returns the [lo, hi) range of output positions o < n whose
@@ -379,10 +473,13 @@ func (g ConvGeom) backwardSample(x, w, dy, dx, dw []float32) {
 	g.backwardData(w, dy, dx)
 }
 
-// backwardWeights gathers dW in tiles of up to four output channels of one
-// group: the four share each x load and keep one accumulator each. A tile of
-// two or three clamps its spare lanes onto the last real channel, which
-// recomputes that channel's chain and stores the identical value again.
+// backwardWeights gathers dW in 4 × 4 register tiles: up to four output
+// channels × four input channels of one group. All 16 chains of a tap share
+// one tapOutRange window, and each (oy, ox) step loads four x values and four
+// dy values for 16 multiply-adds. Each chain still sums x·dy over (oy, ox)
+// ascending, seeded from dw. Spare lanes of a partial tile point at its last
+// real channel (tileLanes); a group with one input and one output channel
+// (depthwise) runs the one-lane dwPoint body.
 //
 // hot-path: dW half of backwardSample.
 func (g ConvGeom) backwardWeights(x, dy, dw []float32) {
@@ -392,23 +489,26 @@ func (g ConvGeom) backwardWeights(x, dy, dw []float32) {
 		icLo := (oc0 / g.CoutG) * g.CinG
 		ocEnd := oc0 + g.CoutG
 		for oc := oc0; oc < ocEnd; oc += 4 {
-			last := min(4, ocEnd-oc) - 1
-			dyT := dy[oc*ohow : (oc+last+1)*ohow]
-			l1, l2, l3 := min(1, last), min(2, last), min(3, last)
-			for ig := 0; ig < g.CinG; ig++ {
-				xc := x[(icLo+ig)*hw : (icLo+ig+1)*hw]
-				wi := (oc*g.CinG + ig) * khkw
+			dyT := dy[oc*ohow:]
+			p1, p2, p3 := tileLanes(ocEnd - oc)
+			for ig := 0; ig < g.CinG; ig += 4 {
+				xT := x[(icLo+ig)*hw:]
+				q1, q2, q3 := tileLanes(g.CinG - ig)
+				one := p3 == 0 && q3 == 0
+				wi := oc*ocStride + ig*khkw
 				for ky := 0; ky < g.KH; ky++ {
 					oyLo, oyHi := tapOutRange(ky-g.P, g.S, g.H, g.OH)
 					for kx := 0; kx < g.KW; kx++ {
 						oxLo, oxHi := tapOutRange(kx-g.P, g.S, g.W, g.OW)
+						if oyLo == oyHi || oxLo == oxHi {
+							continue // the tap only ever meets padding
+						}
 						t := wi + ky*g.KW + kx
-						if last == 0 {
-							dw[t] = g.dwPoint(xc, dyT, dw[t], ky, kx, oyLo, oyHi, oxLo, oxHi)
+						if one {
+							dw[t] = g.dwPoint(xT, dyT, dw[t], ky, kx, oyLo, oyHi, oxLo, oxHi)
 							continue
 						}
-						g.dwQuad(xc, dyT, dw, ky, kx, oyLo, oyHi, oxLo, oxHi,
-							t, t+l1*ocStride, t+l2*ocStride, t+l3*ocStride, l1*ohow, l2*ohow, l3*ohow)
+						g.dwTile(xT, dyT, dw, ky, kx, oyLo, oyHi, oxLo, oxHi, t, p1, p2, p3, q1, q2, q3)
 					}
 				}
 			}
@@ -431,55 +531,100 @@ func (g ConvGeom) dwPoint(xc, d []float32, a0 float32, ky, kx, oyLo, oyHi, oxLo,
 	return a0
 }
 
-// dwQuad extends four dW chains (weight indices i0..i3, dy lanes at offsets
-// 0, o1, o2, o3 into d) over one tap's output window.
+// dwTile extends the 16 dW chains of tap (ky, kx) over its output window.
+// The chain of output-channel lane i and input-channel lane j lives at
+// dw[t + pi·CinG·KH·KW + qj·KH·KW] and sums x·dy with x from xc's channel qj
+// and dy from d's channel pi (p0 = q0 = 0).
 //
 // hot-path: register tile of backwardWeights.
-func (g ConvGeom) dwQuad(xc, d, dw []float32, ky, kx, oyLo, oyHi, oxLo, oxHi, i0, i1, i2, i3, o1, o2, o3 int) {
-	s := g.S
-	a0, a1, a2, a3 := dw[i0], dw[i1], dw[i2], dw[i3]
+func (g ConvGeom) dwTile(xc, d, dw []float32, ky, kx, oyLo, oyHi, oxLo, oxHi, t, p1, p2, p3, q1, q2, q3 int) {
+	s, hw, ohow, khkw := g.S, g.H*g.W, g.OH*g.OW, g.KH*g.KW
+	x1, x2, x3 := q1*hw, q2*hw, q3*hw
+	d1, d2, d3 := p1*ohow, p2*ohow, p3*ohow
+	ocStride := g.CinG * khkw
+	r0, r1, r2, r3 := t, t+p1*ocStride, t+p2*ocStride, t+p3*ocStride
+	q1, q2, q3 = q1*khkw, q2*khkw, q3*khkw
+	a00, a01, a02, a03 := dw[r0], dw[r0+q1], dw[r0+q2], dw[r0+q3]
+	a10, a11, a12, a13 := dw[r1], dw[r1+q1], dw[r1+q2], dw[r1+q3]
+	a20, a21, a22, a23 := dw[r2], dw[r2+q1], dw[r2+q2], dw[r2+q3]
+	a30, a31, a32, a33 := dw[r3], dw[r3+q1], dw[r3+q2], dw[r3+q3]
+	n := oxHi - oxLo
 	for oy := oyLo; oy < oyHi; oy++ {
-		xr := (oy*s-g.P+ky)*g.W + kx - g.P
-		r := oy * g.OW
-		d0 := d[r : r+g.OW]
-		d1 := d[r+o1 : r+o1+g.OW]
-		d2 := d[r+o2 : r+o2+g.OW]
-		d3 := d[r+o3 : r+o3+g.OW]
-		for ox := oxLo; ox < oxHi; ox++ {
-			xv := xc[xr+ox*s]
-			a0 += xv * d0[ox]
-			a1 += xv * d1[ox]
-			a2 += xv * d2[ox]
-			a3 += xv * d3[ox]
+		// Lane rows of the window: dy at unit stride, x at stride s. Equal
+		// lengths let one bounds check cover all four lanes.
+		xi := (oy*s-g.P+ky)*g.W + kx - g.P + oxLo*s
+		f0 := xc[xi : xi+(n-1)*s+1]
+		f1, f2, f3 := xc[xi+x1:][:len(f0)], xc[xi+x2:][:len(f0)], xc[xi+x3:][:len(f0)]
+		dr := oy*g.OW + oxLo
+		e0 := d[dr : dr+n]
+		e1, e2, e3 := d[dr+d1:][:len(e0)], d[dr+d2:][:len(e0)], d[dr+d3:][:len(e0)]
+		k := 0
+		for j, d0 := range e0 {
+			x0, xv1, xv2, xv3 := f0[k], f1[k], f2[k], f3[k]
+			k += s
+			dv1, dv2, dv3 := e1[j], e2[j], e3[j]
+			a00 += x0 * d0
+			a01 += xv1 * d0
+			a02 += xv2 * d0
+			a03 += xv3 * d0
+			a10 += x0 * dv1
+			a11 += xv1 * dv1
+			a12 += xv2 * dv1
+			a13 += xv3 * dv1
+			a20 += x0 * dv2
+			a21 += xv1 * dv2
+			a22 += xv2 * dv2
+			a23 += xv3 * dv2
+			a30 += x0 * dv3
+			a31 += xv1 * dv3
+			a32 += xv2 * dv3
+			a33 += xv3 * dv3
 		}
 	}
-	dw[i0], dw[i1], dw[i2], dw[i3] = a0, a1, a2, a3
+	dw[r0], dw[r0+q1], dw[r0+q2], dw[r0+q3] = a00, a01, a02, a03
+	dw[r1], dw[r1+q1], dw[r1+q2], dw[r1+q3] = a10, a11, a12, a13
+	dw[r2], dw[r2+q1], dw[r2+q2], dw[r2+q3] = a20, a21, a22, a23
+	dw[r3], dw[r3+q1], dw[r3+q2], dw[r3+q3] = a30, a31, a32, a33
 }
 
 // backwardData gathers dX in tiles of up to four input channels of one
-// group: the four share each dy load and keep one accumulator each, with the
-// same spare-lane clamp as backwardWeights.
+// group, with the same spare-lane clamp as backwardWeights. At stride 1 a
+// run of four adjacent pixels whose tap windows are all fully interior —
+// ix+P−KW+1 ≥ 0, ix+3+P < OW and ix+3 < W — goes through the 4-channel ×
+// 4-column dxTile. Border pixels, stride > 1 and kernels one column wide
+// share each dy load across the four channels only (dxQuad: for a 1×1
+// kernel its hoisted one-tap body runs faster than the tile), and a
+// one-channel group runs the one-lane dxPoint body.
 //
 // hot-path: dX half of backwardSample.
 func (g ConvGeom) backwardData(w, dy, dx []float32) {
 	hw, khkw := g.H*g.W, g.KH*g.KW
+	tileLo, tileEnd := g.W, 0 // [tileLo, tileEnd): pixels a dxTile run may cover
+	if g.S == 1 && g.KW > 1 {
+		tileLo, tileEnd = max(g.KW-1-g.P, 0), min(g.W, g.OW-g.P)
+	}
 	for ic0 := 0; ic0 < g.Cin; ic0 += g.CinG {
 		ocLo := (ic0 / g.CinG) * g.CoutG
 		dyG := dy[ocLo*g.OH*g.OW:]
 		icEnd := ic0 + g.CinG
 		for ic := ic0; ic < icEnd; ic += 4 {
-			last := min(4, icEnd-ic) - 1
-			l1, l2, l3 := min(1, last), min(2, last), min(3, last)
+			l1, l2, l3 := tileLanes(icEnd - ic)
 			wT := w[(ocLo*g.CinG+ic-ic0)*khkw:]
 			for iy := 0; iy < g.H; iy++ {
 				oyLo, oyHi := inOutRange(iy, g.P, g.S, g.KH, g.OH)
 				for ix := 0; ix < g.W; ix++ {
-					oxLo, oxHi := inOutRange(ix, g.P, g.S, g.KW, g.OW)
 					p := ic*hw + iy*g.W + ix
-					if last == 0 {
+					if l3 == 0 {
+						oxLo, oxHi := inOutRange(ix, g.P, g.S, g.KW, g.OW)
 						dx[p] = g.dxPoint(wT, dyG, dx[p], iy, ix, oyLo, oyHi, oxLo, oxHi)
 						continue
 					}
+					if ix >= tileLo && ix+4 <= tileEnd {
+						g.dxTile(wT, dyG, dx, iy, ix, oyLo, oyHi, p, l1, l2, l3)
+						ix += 3
+						continue
+					}
+					oxLo, oxHi := inOutRange(ix, g.P, g.S, g.KW, g.OW)
 					g.dxQuad(wT, dyG, dx, iy, ix, oyLo, oyHi, oxLo, oxHi,
 						p, p+l1*hw, p+l2*hw, p+l3*hw, l1*khkw, l2*khkw, l3*khkw)
 				}
@@ -547,6 +692,56 @@ func (g ConvGeom) dxQuad(w, d, dx []float32, iy, ix, oyLo, oyHi, oxLo, oxHi, i0,
 		}
 	}
 	dx[i0], dx[i1], dx[i2], dx[i3] = a0, a1, a2, a3
+}
+
+// dxTile extends the 16 dX chains of four input channels (lane l at
+// dx[i0+l·H·W], its filters at w[l·KH·KW:]) × four adjacent stride-1 pixels
+// ix..ix+3 whose windows are fully interior. For each (oc, oy) it walks kx
+// descending, so every chain stays (oc, oy, ox) ascending; each step loads
+// four adjacent dy values and four weights for 16 multiply-adds.
+//
+// hot-path: interior register tile of backwardData.
+func (g ConvGeom) dxTile(w, d, dx []float32, iy, ix, oyLo, oyHi, i0, l1, l2, l3 int) {
+	hw, khkw := g.H*g.W, g.KH*g.KW
+	ohow, wStride := g.OH*g.OW, g.CinG*khkw
+	o1, o2, o3 := l1*khkw, l2*khkw, l3*khkw
+	r0, r1, r2, r3 := i0, i0+l1*hw, i0+l2*hw, i0+l3*hw
+	a00, a01, a02, a03 := dx[r0], dx[r0+1], dx[r0+2], dx[r0+3]
+	a10, a11, a12, a13 := dx[r1], dx[r1+1], dx[r1+2], dx[r1+3]
+	a20, a21, a22, a23 := dx[r2], dx[r2+1], dx[r2+2], dx[r2+3]
+	a30, a31, a32, a33 := dx[r3], dx[r3+1], dx[r3+2], dx[r3+3]
+	for oc := 0; oc < g.CoutG; oc++ {
+		wo, do := oc*wStride, oc*ohow
+		for oy := oyLo; oy < oyHi; oy++ {
+			wr := wo + (iy+g.P-oy)*g.KW
+			dr := do + oy*g.OW + ix + g.P
+			for kx := g.KW - 1; kx >= 0; kx-- {
+				di, wi := dr-kx, wr+kx
+				d0, d1, d2, d3 := d[di], d[di+1], d[di+2], d[di+3]
+				v0, v1, v2, v3 := w[wi], w[wi+o1], w[wi+o2], w[wi+o3]
+				a00 += v0 * d0
+				a01 += v0 * d1
+				a02 += v0 * d2
+				a03 += v0 * d3
+				a10 += v1 * d0
+				a11 += v1 * d1
+				a12 += v1 * d2
+				a13 += v1 * d3
+				a20 += v2 * d0
+				a21 += v2 * d1
+				a22 += v2 * d2
+				a23 += v2 * d3
+				a30 += v3 * d0
+				a31 += v3 * d1
+				a32 += v3 * d2
+				a33 += v3 * d3
+			}
+		}
+	}
+	dx[r0], dx[r0+1], dx[r0+2], dx[r0+3] = a00, a01, a02, a03
+	dx[r1], dx[r1+1], dx[r1+2], dx[r1+3] = a10, a11, a12, a13
+	dx[r2], dx[r2+1], dx[r2+2], dx[r2+3] = a20, a21, a22, a23
+	dx[r3], dx[r3+1], dx[r3+2], dx[r3+3] = a30, a31, a32, a33
 }
 
 // im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)

@@ -136,6 +136,23 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
+// bitsEqualUpToNaN is bitsEqual with every NaN equal to every other. When
+// both operands of an add are NaN, or Inf meets −Inf, x86 returns the NaN in
+// the instruction's first operand or the default negative NaN, and the
+// compiler picks the operand order of a commutative add: the sign of a
+// NaN result is not a property of the source term order.
+func bitsEqualUpToNaN(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func fillRand(seed uint64, n int) []float32 {
 	t := tensor.New(n)
 	tensor.NewRNG(seed).FillNormal(t, 0, 1)
@@ -225,27 +242,118 @@ func TestBlockedConvBitIdenticalToLegacy(t *testing.T) {
 }
 
 // Property: blocked ≡ legacy bit-identity holds for random geometries —
-// kernel 1..3, stride 1..2, groups {1,2}, random odd spatial extents so the
-// interior tile hits every edge-remainder case.
+// channel counts 1..9 that leave 1-, 2- and 3-lane channel tiles, kernels
+// 1..7, strides 1..3, pads 0..k (up to and beyond the kernel width), groups
+// {1, 2, 4} and depthwise, bias on and off, workers 1 and 4, and spatial
+// extents whose interior leaves 1..3 remainder columns after the 4-column
+// tile.
 func TestQuickBlockedConvBitIdentity(t *testing.T) {
-	f := func(seed uint64, kBits, sBits, gBits, hwBits uint8) bool {
-		k := 1 + int(kBits%3)
-		s := 1 + int(sBits%2)
-		hw := 5 + int(hwBits%7) // 5..11
-		conv := NewConv2D(2, 4, k, s, k/2)
-		if gBits%2 == 1 {
-			conv.Groups = 2
+	f := func(seed uint64, cBits, kBits, sBits, pBits, gBits, hwBits, flags uint8) bool {
+		k := []int{1, 3, 5, 7}[kBits%4]
+		s := 1 + int(sBits%3)
+		p := int(pBits) % (k + 1)
+		hw := max(k-2*p, 1) + int(hwBits%13)
+		var conv Conv2D
+		switch grp := []int{1, 2, 4, 0}[gBits%4]; grp {
+		case 0: // depthwise
+			conv = NewDepthwiseConv2D(1+int(cBits%9), k, s, p)
+		default:
+			per := 9 / grp
+			conv = NewConv2D(grp*(1+int(cBits)%per), grp*(1+int(cBits/16)%per), k, s, p)
+			conv.Groups = grp
 		}
 		x, w := randomConvCase(seed, conv, 2, hw)
-		want := legacyConvForward(conv, x, w, nil)
-		got, err := conv.Forward(x, w)
-		if err != nil {
+		var bias *tensor.Tensor
+		var biasData []float32
+		if flags&1 == 1 {
+			bias = tensor.New(conv.OutChannels)
+			tensor.NewRNG(seed+2).FillUniform(bias, -1, 1)
+			biasData = bias.Data
+		}
+		workers := 1 + 3*int(flags>>1&1)
+		want := legacyConvForward(conv, x, w, biasData)
+		pooled := conv.WithPool(parallel.New(workers))
+		var got *tensor.Tensor
+		var err error
+		if bias != nil {
+			got, err = pooled.ForwardBias(x, w, bias)
+		} else {
+			got, err = pooled.Forward(x, w)
+		}
+		if err != nil || !bitsEqual(got.Data, want.Data) {
+			t.Logf("conv %+v hw=%d bias=%v workers=%d: err %v", conv, hw, bias != nil, workers, err)
 			return false
 		}
-		return bitsEqual(got.Data, want.Data)
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Non-finite values in x, w and the bias reach the blocked forward's outputs
+// exactly as in the legacy loop (bit for bit, up to the sign of NaN): the
+// register tiles skip no in-bounds term and multiply no padding-only tap. The weights poison the channel that a
+// partial tile's spare lanes clamp onto; a second vector puts ±Inf on taps
+// that only ever meet padding, which the reference never multiplies.
+func TestConvForwardNonFiniteMatchesLegacy(t *testing.T) {
+	inf := float32(math.Inf(1))
+	check := func(conv Conv2D, x, w, bias *tensor.Tensor) *tensor.Tensor {
+		t.Helper()
+		want := legacyConvForward(conv, x, w, bias.Data)
+		for _, workers := range []int{1, 4} {
+			got, err := conv.WithPool(parallel.New(workers)).ForwardBias(x, w, bias)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqualUpToNaN(got.Data, want.Data) {
+				t.Errorf("conv %+v workers=%d: blocked forward differs from legacy on non-finite input", conv, workers)
+			}
+		}
+		return want
+	}
+	for _, tc := range []struct {
+		conv Conv2D
+		hw   int
+	}{
+		{NewConv2D(3, 6, 3, 1, 1), 9}, // oc tiles 4 + 2: spare lanes clamp onto oc 5
+		{NewConv2D(4, 7, 1, 1, 0), 6}, // 1×1: oc tiles 4 + 3
+		{NewConv2D(2, 3, 5, 2, 2), 11},
+		{NewDepthwiseConv2D(3, 3, 1, 1), 7},
+	} {
+		conv := tc.conv
+		x, w := randomConvCase(23, conv, 2, tc.hw)
+		bias := tensor.New(conv.OutChannels)
+		tensor.NewRNG(29).FillUniform(bias, -1, 1)
+		ocStride := len(w.Data) / conv.OutChannels
+		last := (conv.OutChannels - 1) * ocStride
+		w.Data[last] = inf
+		w.Data[last+ocStride-1] = float32(math.NaN())
+		w.Data[0] = -inf
+		x.Data[len(x.Data)/3] = inf
+		x.Data[len(x.Data)/2] = float32(math.NaN())
+		bias.Data[0] = -inf
+		if want := check(conv, x, w, bias); nanCount(want.Data) == 0 {
+			t.Errorf("conv %+v: test vector produced no NaN output", conv)
+		}
+	}
+
+	// 3×3, stride 2, pad 2 on a 1×1 map: output rows and columns sit at
+	// input coordinates −2 and 0, so tap (1, 1) only ever meets padding.
+	conv := NewConv2D(2, 5, 3, 2, 2)
+	x, w := randomConvCase(31, conv, 2, 1)
+	bias := tensor.New(conv.OutChannels)
+	tensor.NewRNG(37).FillUniform(bias, -1, 1)
+	for f := 0; f < conv.OutChannels*conv.InChannels; f++ {
+		w.Data[f*9+4] = inf
+		if f%2 == 1 {
+			w.Data[f*9+4] = -inf
+		}
+	}
+	for i, v := range check(conv, x, w, bias).Data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("out[%d] = %v: a padding-only ±Inf tap reached the output", i, v)
+		}
 	}
 }
 
@@ -278,14 +386,15 @@ func gatherMatchesScatter(conv Conv2D, x, w, dy, dx0, dw0 *tensor.Tensor, skipZe
 
 // Property: the gather backward ≡ the legacy scatter loop (with its dy == 0
 // skip) bitwise over random geometries — channel counts that leave 1-, 2-
-// and 3-wide edge tiles, kernels 1..7, strides 1..3, pads up to and beyond
-// the kernel reach, groups {1, 2, 4} and depthwise — with random seeded
-// accumulators and exact zeros in dy.
+// and 3-wide edge tiles, kernels 1..7, strides 1..3, pads 0..k (up to and
+// beyond the kernel width, where a dX tile's row bound ix+3 < W binds),
+// groups {1, 2, 4} and depthwise — with random seeded accumulators and exact
+// zeros in dy.
 func TestQuickConvBackwardBitIdentity(t *testing.T) {
 	f := func(seed uint64, cBits, kBits, sBits, pBits, gBits, hwBits, nBits uint8) bool {
 		k := []int{1, 3, 5, 7}[kBits%4]
 		s := 1 + int(sBits%3)
-		p := int(pBits) % (k/2 + 2)
+		p := int(pBits) % (k + 1)
 		hw := max(k-2*p, 1) + int(hwBits%9)
 		n := 1 + int(nBits%2)
 		var conv Conv2D
@@ -554,54 +663,82 @@ func TestBlockedKernelsAllocFree(t *testing.T) {
 	}
 }
 
-// Bench pair: the blocked convolution against the legacy per-tap-branch loop
-// on a ResNet-scale layer (64→64 3×3 on 16×16 maps).
-func BenchmarkConvForwardBlocked(b *testing.B) {
-	conv := NewConv2D(64, 64, 3, 1, 1)
-	x, w := randomConvCase(5, conv, 1, 16)
+// benchConvForward times one forward of conv over an n-sample hw×hw batch,
+// through the blocked kernel or the legacy per-tap-branch loop.
+func benchConvForward(b *testing.B, conv Conv2D, n, hw int, legacy bool) {
+	x, w := randomConvCase(5, conv, n, hw)
 	y := tensor.New(conv.OutShape(x.Shape())...)
 	b.SetBytes(int64(4 * len(x.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.forwardInto(x, w, y, nil)
+		if legacy {
+			legacyConvForward(conv, x, w, nil)
+		} else {
+			conv.forwardInto(x, w, y, nil)
+		}
 	}
+}
+
+// benchConvBackward times one backward of conv over an n-sample hw×hw batch,
+// through the gather kernel or the legacy scatter loop, accumulating into
+// the same buffers every iteration.
+func benchConvBackward(b *testing.B, conv Conv2D, n, hw int, legacy bool) {
+	x, w := randomConvCase(5, conv, n, hw)
+	dy := tensor.New(conv.OutShape(x.Shape())...)
+	tensor.NewRNG(6).FillNormal(dy, 0, 1)
+	dx, dw := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
+	b.SetBytes(int64(4 * len(x.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if legacy {
+			legacyConvBackward(conv, dy, x, w, dx, dw, true)
+		} else {
+			conv.backwardInto(dy, x, w, dx, dw)
+		}
+	}
+}
+
+// Bench pairs: the blocked kernels against the legacy loops on a
+// ResNet-scale layer (64→64 3×3 on 16×16 maps).
+func BenchmarkConvForwardBlocked(b *testing.B) {
+	benchConvForward(b, NewConv2D(64, 64, 3, 1, 1), 1, 16, false)
 }
 
 func BenchmarkConvForwardLegacy(b *testing.B) {
-	conv := NewConv2D(64, 64, 3, 1, 1)
-	x, w := randomConvCase(5, conv, 1, 16)
-	b.SetBytes(int64(4 * len(x.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		legacyConvForward(conv, x, w, nil)
-	}
+	benchConvForward(b, NewConv2D(64, 64, 3, 1, 1), 1, 16, true)
 }
 
-// Bench pair: the gather backward against the legacy scatter loop on the
-// same layer, accumulating into the same buffers every iteration.
 func BenchmarkConvBackwardBlocked(b *testing.B) {
-	conv := NewConv2D(64, 64, 3, 1, 1)
-	x, w := randomConvCase(5, conv, 1, 16)
-	dy := tensor.New(conv.OutShape(x.Shape())...)
-	tensor.NewRNG(6).FillNormal(dy, 0, 1)
-	dx, dw := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
-	b.SetBytes(int64(4 * len(x.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.backwardInto(dy, x, w, dx, dw)
-	}
+	benchConvBackward(b, NewConv2D(64, 64, 3, 1, 1), 1, 16, false)
 }
 
 func BenchmarkConvBackwardLegacy(b *testing.B) {
-	conv := NewConv2D(64, 64, 3, 1, 1)
-	x, w := randomConvCase(5, conv, 1, 16)
-	dy := tensor.New(conv.OutShape(x.Shape())...)
-	tensor.NewRNG(6).FillNormal(dy, 0, 1)
-	dx, dw := tensor.New(x.Shape()...), tensor.New(w.Shape()...)
-	b.SetBytes(int64(4 * len(x.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		legacyConvBackward(conv, dy, x, w, dx, dw, true)
+	benchConvBackward(b, NewConv2D(64, 64, 3, 1, 1), 1, 16, true)
+}
+
+// densenetConvs are tiny-densenet's two conv shapes at batch 16 on 16×16
+// maps: the 3×3 32→8 growth conv (about 65% of its forward FLOPs) and the
+// 1×1 24→32 bottleneck.
+var densenetConvs = []struct {
+	name string
+	conv Conv2D
+}{
+	{"3x3-32to8", NewConv2D(32, 8, 3, 1, 1)},
+	{"1x1-24to32", NewConv2D(24, 32, 1, 1, 0)},
+}
+
+// Bench pairs at the shapes the training workloads run.
+func BenchmarkConvForwardDenseNet(b *testing.B) {
+	for _, c := range densenetConvs {
+		b.Run(c.name+"/blocked", func(b *testing.B) { benchConvForward(b, c.conv, 16, 16, false) })
+		b.Run(c.name+"/legacy", func(b *testing.B) { benchConvForward(b, c.conv, 16, 16, true) })
+	}
+}
+
+func BenchmarkConvBackwardDenseNet(b *testing.B) {
+	for _, c := range densenetConvs {
+		b.Run(c.name+"/blocked", func(b *testing.B) { benchConvBackward(b, c.conv, 16, 16, false) })
+		b.Run(c.name+"/legacy", func(b *testing.B) { benchConvBackward(b, c.conv, 16, 16, true) })
 	}
 }
 
