@@ -326,8 +326,9 @@ func (e *Executor) beta(n *graph.Node) *tensor.Tensor  { return e.Params[n.BN.Pa
 func (e *Executor) gammaOf(a *graph.BNAttr) *tensor.Tensor { return e.Params[a.ParamName+".gamma"] }
 
 // epilogueStats computes the StatsOut statistics of a conv-like node's fresh
-// output — the sub-BN1 epilogue of the fused kernel, which always uses the
-// single-sweep MVF accumulation (float64 under PreciseStats).
+// output — sub-BN1 fused behind the CONV (Conv, ReLUConv and BNReLUConv
+// alike), which always uses the single-sweep MVF accumulation (float64 under
+// PreciseStats).
 func (e *Executor) epilogueStats(n *graph.Node, y *tensor.Tensor) (*layers.BNStats, error) {
 	if e.statsHook != nil {
 		return e.statsHook(n, n.StatsOut, y)
@@ -429,20 +430,13 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		nodeStart := e.tracer.Begin()
 		switch n.Kind {
 		case graph.OpConv:
-			switch {
-			case n.FoldedBias:
+			if n.FoldedBias {
 				e.vals[n.ID], err = e.convOf(n).ForwardBias(e.in(n, 0), e.Params[n.Name+".w"], e.Params[n.Name+".b"])
-			case n.StatsOut != nil && !e.inference && !e.preciseStats && e.statsHook == nil:
-				var st *layers.BNStats
-				e.vals[n.ID], st, err = kernels.ConvForwardStats(e.convOf(n), e.in(n, 0), e.Params[n.Name+".w"])
-				e.stats[n.ID] = st
-			case n.StatsOut != nil && !e.inference:
-				e.vals[n.ID], err = e.convOf(n).Forward(e.in(n, 0), e.Params[n.Name+".w"])
-				if err == nil {
-					e.stats[n.ID], err = e.epilogueStats(n, e.vals[n.ID])
-				}
-			default:
-				e.vals[n.ID], err = e.convOf(n).Forward(e.in(n, 0), e.Params[n.Name+".w"])
+				break
+			}
+			e.vals[n.ID], err = e.convOf(n).Forward(e.in(n, 0), e.Params[n.Name+".w"])
+			if err == nil && n.StatsOut != nil && !e.inference {
+				e.stats[n.ID], err = e.epilogueStats(n, e.vals[n.ID])
 			}
 
 		case graph.OpBN:
@@ -472,7 +466,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.vals[n.ID], e.xhats[n.ID] = y, xhat
 
 		case graph.OpReLU:
-			e.vals[n.ID] = layers.ReLUForwardAlloc(e.pool, e.alloc, e.in(n, 0))
+			e.vals[n.ID] = layers.ReLUForward(e.pool, e.alloc, e.in(n, 0))
 
 		case graph.OpReLUConv:
 			e.vals[n.ID], err = kernels.ReLUConvForward(e.convOf(n), e.in(n, 0), e.Params[n.Name+".w"])
@@ -501,7 +495,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.vals[n.ID], e.poolCtx[n.ID] = y, ctx
 
 		case graph.OpGlobalPool:
-			e.vals[n.ID], err = layers.GlobalAvgPoolForwardAlloc(e.pool, e.alloc, e.in(n, 0))
+			e.vals[n.ID], err = layers.GlobalAvgPoolForward(e.pool, e.alloc, e.in(n, 0))
 
 		case graph.OpFC:
 			e.vals[n.ID], err = n.FC.WithPool(e.pool).WithAlloc(e.alloc).Forward(e.in(n, 0), e.Params[n.Name+".w"], e.Params[n.Name+".b"])
@@ -512,10 +506,10 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				ins = append(ins, e.in(n, i))
 			}
 			e.concatIns = ins // keep the grown backing array for the next concat
-			e.vals[n.ID], err = layers.ConcatForwardAlloc(e.alloc, ins...)
+			e.vals[n.ID], err = layers.ConcatForward(e.alloc, ins...)
 
 		case graph.OpEWS:
-			e.vals[n.ID], err = layers.EWSForwardAlloc(e.alloc, e.in(n, 0), e.in(n, 1))
+			e.vals[n.ID], err = layers.EWSForward(e.alloc, e.in(n, 0), e.in(n, 1))
 
 		case graph.OpFlatten:
 			e.vals[n.ID], err = e.in(n, 0).Reshape(n.OutShape...)
@@ -526,7 +520,7 @@ func (e *Executor) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 				break
 			}
 			var y, mask *tensor.Tensor
-			y, mask, err = n.Dropout.ForwardAlloc(e.alloc, e.in(n, 0), e.dropRNG)
+			y, mask, err = n.Dropout.Forward(e.alloc, e.in(n, 0), e.dropRNG)
 			e.vals[n.ID], e.masks[n.ID] = y, mask
 
 		default:
@@ -765,7 +759,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return nil
 
 	case graph.OpReLU:
-		dx, err := layers.ReLUBackwardAlloc(e.pool, e.alloc, dy, e.in(n, 0))
+		dx, err := layers.ReLUBackward(e.pool, e.alloc, dy, e.in(n, 0))
 		if err != nil {
 			return err
 		}
@@ -817,7 +811,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], dx)
 
 	case graph.OpGlobalPool:
-		dx, err := layers.GlobalAvgPoolBackwardAlloc(e.pool, e.alloc, dy, n.Inputs[0].OutShape)
+		dx, err := layers.GlobalAvgPoolBackward(e.pool, e.alloc, dy, n.Inputs[0].OutShape)
 		if err != nil {
 			return err
 		}
@@ -837,7 +831,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		for i, in := range n.Inputs {
 			channels[i] = in.OutShape[1]
 		}
-		parts, err := layers.ConcatBackwardAlloc(e.alloc, dy, channels)
+		parts, err := layers.ConcatBackward(e.alloc, dy, channels)
 		if err != nil {
 			return err
 		}
@@ -849,7 +843,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return nil
 
 	case graph.OpEWS:
-		da, db := layers.EWSBackwardAlloc(e.alloc, dy)
+		da, db := layers.EWSBackward(e.alloc, dy)
 		if err := e.accumGrad(gmap, n.Inputs[0], da); err != nil {
 			return err
 		}
@@ -863,7 +857,7 @@ func (e *Executor) backwardNode(n *graph.Node, gmap map[int]*tensor.Tensor,
 		return e.accumGrad(gmap, n.Inputs[0], e.alloc.Clone(dx))
 
 	case graph.OpDropout:
-		dx, err := n.Dropout.BackwardAlloc(e.alloc, dy, e.masks[n.ID])
+		dx, err := n.Dropout.Backward(e.alloc, dy, e.masks[n.ID])
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,7 @@ func TestFusedForwardEdgeGeometries(t *testing.T) {
 			rng.FillUniform(gamma, 0.5, 1.5)
 			rng.FillUniform(beta, -0.3, 0.3)
 
-			u, stats, err := ConvForwardStats(conv1, x, w1)
+			u, stats, err := convStats(conv1, bn, x, w1)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -102,7 +102,7 @@ func TestReLUConvForwardEdgeGeometries(t *testing.T) {
 			w := tensor.New(conv.WeightShape()...)
 			rng.FillNormal(x, 0, 1)
 			rng.FillHe(w, conv.InChannels*9)
-			want, err := conv.Forward(layers.ReLUForward(x), w)
+			want, err := conv.Forward(layers.ReLUForward(nil, nil, x), w)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -133,7 +133,7 @@ func TestReLUConvForwardNonFiniteMaskMatchesUnfused(t *testing.T) {
 	x.Data[40] = float32(math.NaN())
 	for _, workers := range []int{1, 4} {
 		conv := conv.WithPool(parallel.New(workers))
-		want, err := conv.Forward(layers.ReLUForward(x), w)
+		want, err := conv.Forward(layers.ReLUForward(nil, nil, x), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,42 +173,91 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// The unrolled Σx/Σx² epilogue must be bit-identical to the rolled
-// single-chain reference, including tails where H·W % 4 != 0.
-func TestConvForwardStatsUnrolledBitIdentical(t *testing.T) {
-	conv := layers.NewConv2D(3, 4, 3, 1, 1)
-	rng := tensor.NewRNG(21)
-	x := tensor.New(3, 3, 7, 7) // 49 elements per map: 4-wide unroll + tail of 1
+// The fused dγ/dβ sweep must add every masked element's 0·x̂ term, exactly
+// as the unfused ReLUBackward → BackwardReduce does. A NaN x̂ (what an Inf
+// input normalizes to) or a −Inf x̂ is masked by the ReLU, but 0·NaN and
+// 0·(−Inf) are NaN, so the unfused dγ of that channel is NaN; skipping the
+// masked term would hide it.
+func TestFusedConvBackwardNonFiniteMatchesUnfused(t *testing.T) {
+	const n, c, hw = 2, 4, 5
+	conv := layers.NewConv2D(c, 3, 3, 1, 1)
+	bn := layers.NewBatchNorm(c)
+	rng := tensor.NewRNG(35)
+	xhat := tensor.New(n, c, hw, hw)
 	w := tensor.New(conv.WeightShape()...)
-	rng.FillNormal(x, 0, 1)
-	rng.FillHe(w, 27)
-	y, stats, err := ConvForwardStats(conv, x, w)
-	if err != nil {
-		t.Fatal(err)
+	gamma := tensor.New(c)
+	beta := tensor.New(c)
+	dy := tensor.New(conv.OutShape(xhat.Shape())...)
+	rng.FillNormal(xhat, 0, 1)
+	rng.FillHe(w, c*9)
+	rng.FillUniform(gamma, 0.5, 1.5)
+	rng.FillUniform(beta, -0.3, 0.3)
+	rng.FillUniform(dy, -1, 1)
+	plane := hw * hw
+	for in := 0; in < n; in++ {
+		for i := 0; i < plane; i++ {
+			xhat.Data[(in*c+1)*plane+i] = float32(math.NaN())
+		}
 	}
-	n, c, h, wd := y.Dims4()
-	m := float32(n * h * wd)
-	for ic := 0; ic < c; ic++ {
-		var sum, sumsq float32
-		for in := 0; in < n; in++ {
-			base := (in*c + ic) * h * wd
-			var s, sq float32
-			for i := 0; i < h*wd; i++ {
-				v := y.Data[base+i]
-				s += v
-				sq += v * v
+	xhat.Data[(1*c+2)*plane+3] = float32(math.Inf(-1))
+
+	// The unfused composition: z = ReLU(γx̂+β), CONV backward, ReLU mask,
+	// then sub-BN2's reductions.
+	v := tensor.New(xhat.Shape()...)
+	for in := 0; in < n; in++ {
+		for ic := 0; ic < c; ic++ {
+			for i := 0; i < plane; i++ {
+				j := (in*c+ic)*plane + i
+				v.Data[j] = gamma.Data[ic]*xhat.Data[j] + beta.Data[ic]
 			}
-			sum += s
-			sumsq += sq
-		}
-		mu := sum / m
-		v := sumsq/m - mu*mu
-		if v < 0 {
-			v = 0
-		}
-		if stats.Mean.Data[ic] != mu || stats.Var.Data[ic] != v {
-			t.Errorf("channel %d: stats (%v, %v), rolled reference (%v, %v)",
-				ic, stats.Mean.Data[ic], stats.Var.Data[ic], mu, v)
 		}
 	}
+	z := layers.ReLUForward(nil, nil, v)
+	for _, workers := range []int{1, 4} {
+		conv := conv.WithPool(parallel.New(workers))
+		dz, dwWant, err := conv.Backward(dy, z, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dvWant, err := layers.ReLUBackward(nil, nil, dz, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dgWant, dbWant, err := bn.BackwardReduce(dvWant, xhat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ic, g := range dgWant.Data {
+			if poisoned := ic == 1 || ic == 2; poisoned != math.IsNaN(float64(g)) {
+				t.Fatalf("unfused dγ = %v: the vector does not poison exactly channels 1 and 2", dgWant.Data)
+			}
+		}
+
+		dv, dw, dg, db, err := FusedConvBackwardReLUBNReduce(conv, bn, dy, xhat, gamma, beta, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pair := range map[string][2]*tensor.Tensor{
+			"dv": {dvWant, dv}, "dW": {dwWant, dw}, "dGamma": {dgWant, dg}, "dBeta": {dbWant, db},
+		} {
+			if !bitsEqualUpToNaN(pair[0].Data, pair[1].Data) {
+				t.Errorf("workers=%d: fused %s differs from unfused ReLUBackward → BackwardReduce", workers, name)
+			}
+		}
+	}
+}
+
+// bitsEqualUpToNaN compares bit patterns, treating any two NaNs as equal:
+// the sign of a NaN produced by a sum depends on operand order, which the
+// compiler picks.
+func bitsEqualUpToNaN(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return false
+		}
+	}
+	return true
 }

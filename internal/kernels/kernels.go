@@ -1,28 +1,29 @@
 // Package kernels implements the fused numeric kernels that BN
-// Fission-n-Fusion substitutes for baseline layer sequences:
+// Fission-n-Fusion substitutes for baseline layer sequences. Each one pairs a
+// convolution with the element-wise neighbour the restructuring glues to it:
 //
-//   - ConvForwardStats — CONV1-(sub-BN1): after the convolution writes y, a
-//     second pass over y accumulates Σx and Σx² per channel, and the MVF
-//     identity V(X) = E(X²) − E(X)² closes the statistics. The paper folds
-//     the sums into the convolution's store (Figure 5a: O1, I2, I3 → O1');
-//     here the statistics pass still re-reads y once, so the fusion saves
-//     BN's own sweeps but not that re-read.
+//   - ReLUConvForward — RCF: ReLU applied on the CONV ifmap read, so the
+//     rectified tensor is never materialized.
 //
 //   - FusedBNReLUConvForward — (sub-BN2)-ReLU-CONV2: normalization and ReLU
 //     clipping are applied while the following convolution reads its ifmap.
 //     The normalized map x̂ is written once (Figure 5a's O2') because the
-//     backward pass re-reads it; everything else stays in registers.
+//     backward pass re-reads it; everything else stays in a per-sample tile.
 //
-//   - ReLUConvForward — RCF alone: ReLU applied on the CONV ifmap read,
-//     for the RCF-only evaluation scenario.
+//   - ReLUConvBackward — RCF's backward: CONV's backward with the ReLU mask
+//     recovered from the saved pre-activation.
 //
 //   - FusedConvBackwardReLUBNReduce — CONV2-ReLU-(sub-BN2') backward: the
 //     convolution's backward-data pass regenerates its saved ifmap from x̂
 //     (so z=ReLU(γx̂+β) is never stored), applies the ReLU mask inline, and
 //     accumulates dγ/dβ in the same sweep that writes BN's upstream gradient.
 //
-//   - FusedBNInputConvBackward — (sub-BN1')-CONV1 backward: BN's element-wise
-//     input gradient is produced in the same pass that feeds CONV1's backward.
+// The other two sub-layers need no kernel of their own. Sub-BN1 (the MVF
+// statistics Σx, Σx²) runs as an epilogue of whatever CONV-like node produces
+// the BN input: internal/core's epilogueStats calls
+// layers.BatchNorm.ComputeStatsMVF on the fresh ofmap. Sub-BN1' (BN's
+// element-wise input gradient) runs as layers.BatchNorm.BackwardInput on the
+// sub-BN2' stash just before that producer's own backward.
 //
 // Every kernel is bit-compatible (to float32 round-off) with the baseline
 // composition in internal/layers; internal/core's equivalence tests enforce
@@ -35,88 +36,6 @@ import (
 	"bnff/internal/layers"
 	"bnff/internal/tensor"
 )
-
-// ConvForwardStats computes y = conv(x, w) and then, in one pass over y,
-// the per-channel mini-batch statistics of y via the MVF identity. The
-// accumulators are float32, mirroring the paper's observation that single
-// precision suffices for E(X²) on activation-scale data.
-func ConvForwardStats(conv layers.Conv2D, x, w *tensor.Tensor) (*tensor.Tensor, *layers.BNStats, error) {
-	y, err := conv.Forward(x, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, c, h, wd := y.Dims4()
-	m := float32(n * h * wd)
-	a := conv.Alloc()
-	sum := a.Floats(c)
-	sumsq := a.Floats(c)
-	// Epilogue over the freshly written ofmap tile. In the MKL-DNN
-	// implementation this happens before the tile leaves registers; here it
-	// is a separate loop over data that is still cache-resident, which keeps
-	// the arithmetic identical. On a pool each sample writes a private
-	// per-channel partial that is reduced in sample order below — the serial
-	// loop adds one per-sample partial per channel in the same order, so the
-	// pooled statistics are bit-identical. All scratch comes from the conv's
-	// arena on the dispatching goroutine (workers never touch the arena).
-	psum := a.Floats(n * c)
-	psumsq := a.Floats(n * c)
-	conv.Pool().Run(n, func(nLo, nHi int) {
-		for in := nLo; in < nHi; in++ {
-			for ic := 0; ic < c; ic++ {
-				base := (in*c + ic) * h * wd
-				row := y.Data[base : base+h*wd]
-				// 4-wide unroll: s and sq each stay a single accumulator
-				// chain adding elements in ascending order, so the sums are
-				// bit-identical to the rolled loop; the unroll only breaks
-				// the loop-carried add/mul dependency interleaving.
-				var s, sq float32
-				i := 0
-				for ; i+4 <= len(row); i += 4 {
-					v0, v1, v2, v3 := row[i], row[i+1], row[i+2], row[i+3]
-					s += v0
-					s += v1
-					s += v2
-					s += v3
-					sq += v0 * v0
-					sq += v1 * v1
-					sq += v2 * v2
-					sq += v3 * v3
-				}
-				for ; i < len(row); i++ {
-					v := row[i]
-					s += v
-					sq += v * v
-				}
-				psum[in*c+ic] = s
-				psumsq[in*c+ic] = sq
-			}
-		}
-	})
-	// det-reduce: per-sample Σx/Σx² partials combined in sample order — the
-	// serial epilogue's association, so the fused stats are bit-identical.
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			sum[ic] += psum[in*c+ic]
-			sumsq[ic] += psumsq[in*c+ic]
-		}
-	}
-	mean := a.Get(c)
-	variance := a.Get(c)
-	for ic := 0; ic < c; ic++ {
-		mu := sum[ic] / m
-		mean.Data[ic] = mu
-		v := sumsq[ic]/m - mu*mu
-		if v < 0 {
-			v = 0
-		}
-		variance.Data[ic] = v
-	}
-	a.PutFloats(psumsq)
-	a.PutFloats(psum)
-	a.PutFloats(sumsq)
-	a.PutFloats(sum)
-	return y, &layers.BNStats{Mean: mean, Var: variance, M: n * h * wd}, nil
-}
 
 // ReLUConvForward computes y = conv(ReLU(x), w) without materializing the
 // rectified tensor (the paper's RCF): each sample is rectified into a
@@ -188,27 +107,22 @@ func FusedBNReLUConvForward(conv layers.Conv2D, bn layers.BatchNorm, x *tensor.T
 	// touch the arena and the scratch recycles across steps.
 	tileLen := c * h * wd
 	slab := a.Floats(conv.Pool().NumChunks(n) * tileLen)
-	// The serial path runs the chunk body as a plain method call on a
+	sp := fusedFwdSpec{
+		xd: x.Data, xh: xhat.Data, yd: y.Data, wdat: w.Data,
+		mean: stats.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data, slab: slab,
+		c: c, h: h, wd: wd, cout: cout, outLen: cout * oh * ow,
+		tileLen: tileLen, geom: conv.SampleGeom(h, wd),
+	}
+	// The serial path runs the chunk body as a plain method call on the
 	// stack spec — no closure, no heap traffic on the one-worker steady
-	// state. The pooled path builds its own spec so only that copy escapes
-	// into the dispatched closure.
+	// state. The pooled path hands a copy to the dispatched closure, so only
+	// that copy escapes.
 	if conv.Pool().Serial() {
-		sp := fusedFwdSpec{
-			xd: x.Data, xh: xhat.Data, yd: y.Data, wdat: w.Data,
-			mean: stats.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data, slab: slab,
-			c: c, h: h, wd: wd, cout: cout, outLen: cout * oh * ow,
-			tileLen: tileLen, geom: conv.SampleGeom(h, wd),
-		}
 		sp.run(0, 0, n)
 	} else {
-		sp := fusedFwdSpec{
-			xd: x.Data, xh: xhat.Data, yd: y.Data, wdat: w.Data,
-			mean: stats.Mean.Data, inv: inv, g: gamma.Data, b: beta.Data, slab: slab,
-			c: c, h: h, wd: wd, cout: cout, outLen: cout * oh * ow,
-			tileLen: tileLen, geom: conv.SampleGeom(h, wd),
-		}
+		pooled := sp
 		conv.Pool().RunChunked(n, func(chunk, nLo, nHi int) {
-			sp.run(chunk, nLo, nHi)
+			pooled.run(chunk, nLo, nHi)
 		})
 	}
 	a.PutFloats(slab)

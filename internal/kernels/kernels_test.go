@@ -53,7 +53,7 @@ func (c *chain) baselineForward(t *testing.T) (u, v, xhat, z, y *tensor.Tensor, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	z = layers.ReLUForward(v)
+	z = layers.ReLUForward(nil, nil, v)
 	y, err = c.conv2.Forward(z, c.w2)
 	if err != nil {
 		t.Fatal(err)
@@ -61,16 +61,28 @@ func (c *chain) baselineForward(t *testing.T) (u, v, xhat, z, y *tensor.Tensor, 
 	return u, v, xhat, z, y, stats
 }
 
+// convStats is what the executor runs for a Conv node with a StatsOut
+// epilogue: the layer's own forward, then sub-BN1's single-sweep MVF
+// statistics over the fresh ofmap, on the conv's pool.
+func convStats(conv layers.Conv2D, bn layers.BatchNorm, x, w *tensor.Tensor) (*tensor.Tensor, *layers.BNStats, error) {
+	u, err := conv.Forward(x, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats, err := bn.WithPool(conv.Pool()).ComputeStatsMVF(u)
+	if err != nil {
+		return nil, nil, err
+	}
+	return u, stats, nil
+}
+
 func TestConvForwardStatsMatchesBaseline(t *testing.T) {
 	c := newChain(1, 4, 3, 8, 6, 8)
-	u, _, _, _, _, twoPass := c.baselineForward(t)
+	_, _, _, _, _, twoPass := c.baselineForward(t)
 
-	uFused, statsFused, err := ConvForwardStats(c.conv1, c.x, c.w1)
+	_, statsFused, err := convStats(c.conv1, c.bn, c.x, c.w1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d, _ := tensor.MaxAbsDiff(u, uFused); d != 0 {
-		t.Errorf("fused conv output differs from baseline by %v", d)
 	}
 	if !tensor.AllClose(twoPass.Mean, statsFused.Mean, 1e-5, 1e-5) {
 		t.Error("fused statistics mean diverges from two-pass")
@@ -82,8 +94,11 @@ func TestConvForwardStatsMatchesBaseline(t *testing.T) {
 
 func TestConvForwardStatsErrors(t *testing.T) {
 	c := newChain(2, 1, 3, 4, 4, 6)
-	if _, _, err := ConvForwardStats(c.conv1, tensor.New(1, 5, 6, 6), c.w1); err == nil {
+	if _, _, err := convStats(c.conv1, c.bn, tensor.New(1, 5, 6, 6), c.w1); err == nil {
 		t.Error("accepted wrong input channels")
+	}
+	if _, _, err := convStats(c.conv1, layers.NewBatchNorm(5), c.x, c.w1); err == nil {
+		t.Error("accepted statistics for a BN of the wrong width")
 	}
 }
 
@@ -95,7 +110,7 @@ func TestReLUConvForwardMatchesBaseline(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	rng.FillHe(w, 36)
 
-	z := layers.ReLUForward(x)
+	z := layers.ReLUForward(nil, nil, x)
 	want, err := conv.Forward(z, w)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +169,7 @@ func TestFusedBackwardMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dvBase, err := layers.ReLUBackward(dzBase, z)
+	dvBase, err := layers.ReLUBackward(nil, nil, dzBase, z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +183,17 @@ func TestFusedBackwardMatchesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restructured backward through the fused kernels.
+	// Restructured backward: the fused kernel, then the executor's sub-BN1'.
 	dv, dw2, dgamma, dbeta, err := FusedConvBackwardReLUBNReduce(c.conv2, c.bn, dy, xhat, c.gamma, c.beta, c.w2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, dw1, du, err := FusedBNInputConvBackward(c.conv1, c.bn, dv, xhat, c.gamma, stats, dgamma, dbeta, c.x, c.w1)
+	// Sub-BN1' runs on the fused kernel's dv, dγ, dβ, then CONV1's backward.
+	du, err := c.bn.BackwardInput(dv, xhat, c.gamma, stats, dgamma, dbeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, dw1, err := c.conv1.Backward(du, c.x, c.w1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +221,7 @@ func TestReLUConvBackwardMatchesBaseline(t *testing.T) {
 	w := tensor.New(conv.WeightShape()...)
 	rng.FillNormal(x, 0, 1)
 	rng.FillHe(w, 36)
-	z := layers.ReLUForward(x)
+	z := layers.ReLUForward(nil, nil, x)
 	dy := tensor.New(conv.OutShape(x.Shape())...)
 	rng.FillUniform(dy, -1, 1)
 
@@ -209,7 +229,7 @@ func TestReLUConvBackwardMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dxBase, err := layers.ReLUBackward(dzBase, x)
+	dxBase, err := layers.ReLUBackward(nil, nil, dzBase, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,18 +250,13 @@ func TestReLUConvBackwardMatchesBaseline(t *testing.T) {
 
 func TestFusedBackwardErrors(t *testing.T) {
 	c := newChain(15, 2, 3, 4, 4, 6)
-	u, _, xhat, _, y, stats := c.baselineForward(t)
-	_ = u
+	_, _, xhat, _, y, _ := c.baselineForward(t)
 	dy := tensor.New(y.Shape()...)
 	if _, _, _, _, err := FusedConvBackwardReLUBNReduce(c.conv2, c.bn, tensor.New(1, 1, 1, 1), xhat, c.gamma, c.beta, c.w2); err == nil {
 		t.Error("reduce accepted wrong dy shape")
 	}
 	if _, _, _, _, err := FusedConvBackwardReLUBNReduce(c.conv2, c.bn, dy, tensor.New(2, 9, 6, 6), c.gamma, c.beta, c.w2); err == nil {
 		t.Error("reduce accepted wrong xhat shape")
-	}
-	dg := tensor.New(c.bn.Channels)
-	if _, _, _, err := FusedBNInputConvBackward(c.conv1, c.bn, tensor.New(1, 1, 1, 1), xhat, c.gamma, stats, dg, dg, c.x, c.w1); err == nil {
-		t.Error("input-grad kernel accepted mismatched dv")
 	}
 }
 
@@ -265,8 +280,8 @@ func TestQuickFusedForwardEquivalence(t *testing.T) {
 	}
 }
 
-// Property: across random windows, the fused backward kernels reproduce the
-// baseline backward composition for every gradient.
+// Property: across random windows, the fused backward kernel followed by
+// sub-BN1' reproduces the baseline backward composition for every gradient.
 func TestQuickFusedBackwardEquivalence(t *testing.T) {
 	f := func(seed uint64, nBits uint8) bool {
 		n := 2 + int(nBits%3)
@@ -279,7 +294,7 @@ func TestQuickFusedBackwardEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dvB, err := layers.ReLUBackward(dzB, z)
+		dvB, err := layers.ReLUBackward(nil, nil, dzB, z)
 		if err != nil {
 			return false
 		}
@@ -297,7 +312,11 @@ func TestQuickFusedBackwardEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dx, dw1, _, err := FusedBNInputConvBackward(c.conv1, c.bn, dv, xhat, c.gamma, stats, dg, db, c.x, c.w1)
+		du, err := c.bn.BackwardInput(dv, xhat, c.gamma, stats, dg, db)
+		if err != nil {
+			return false
+		}
+		dx, dw1, err := c.conv1.Backward(du, c.x, c.w1)
 		if err != nil {
 			return false
 		}
@@ -320,7 +339,7 @@ func TestQuickFusedBackwardEquivalence(t *testing.T) {
 func TestQuickFusedStatsNormalize(t *testing.T) {
 	f := func(seed uint64) bool {
 		c := newChain(seed, 4, 3, 5, 4, 7)
-		u, statsFused, err := ConvForwardStats(c.conv1, c.x, c.w1)
+		u, statsFused, err := convStats(c.conv1, c.bn, c.x, c.w1)
 		if err != nil {
 			return false
 		}

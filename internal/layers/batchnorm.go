@@ -169,7 +169,7 @@ func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 		return nil, err
 	}
 	n, c, h, w := x.Dims4()
-	m := float32(n * h * w)
+	m := n * h * w
 	sum := b.alloc.Floats(c)
 	sumsq := b.alloc.Floats(c)
 	psum := b.alloc.Floats(n * c)
@@ -194,20 +194,27 @@ func (b BatchNorm) ComputeStatsMVF(x *tensor.Tensor) (*BNStats, error) {
 	}
 	mean := b.alloc.Get(c)
 	variance := b.alloc.Get(c)
-	for ic := 0; ic < c; ic++ {
-		mu := sum[ic] / m
-		mean.Data[ic] = mu
-		v := sumsq[ic]/m - mu*mu
-		if v < 0 { // guard fp cancellation for near-constant channels
-			v = 0
-		}
-		variance.Data[ic] = v
-	}
+	mvfClose(mean.Data, variance.Data, sum, sumsq, m)
 	b.alloc.PutFloats(psumsq)
 	b.alloc.PutFloats(psum)
 	b.alloc.PutFloats(sumsq)
 	b.alloc.PutFloats(sum)
-	return &BNStats{Mean: mean, Var: variance, M: n * h * w}, nil
+	return &BNStats{Mean: mean, Var: variance, M: m}, nil
+}
+
+// mvfClose closes per-channel Σx and Σx² over m elements into the mean and
+// the biased variance with the MVF identity V(X) = E(X²) − E(X)², in float32.
+func mvfClose(mean, variance, sum, sumsq []float32, m int) {
+	mf := float32(m)
+	for ic := range sum {
+		mu := sum[ic] / mf
+		mean[ic] = mu
+		v := sumsq[ic]/mf - mu*mu
+		if v < 0 { // guard fp cancellation for near-constant channels
+			v = 0
+		}
+		variance[ic] = v
+	}
 }
 
 // bnPartialSums fills the per-(sample, channel) sum and sum-of-squares
@@ -219,9 +226,26 @@ func bnPartialSums(xd, psum, psumsq []float32, c, hw, lo, hi int) {
 	for in := lo; in < hi; in++ {
 		for ic := 0; ic < c; ic++ {
 			base := (in*c + ic) * hw
+			row := xd[base : base+hw]
+			// 4-wide unroll: s and sq each stay a single accumulator chain
+			// adding elements in ascending order, so the sums are
+			// bit-identical to the rolled loop; the unroll only interleaves
+			// the two loop-carried dependency chains.
 			var s, sq float32
-			for i := 0; i < hw; i++ {
-				v := xd[base+i]
+			i := 0
+			for ; i+4 <= len(row); i += 4 {
+				v0, v1, v2, v3 := row[i], row[i+1], row[i+2], row[i+3]
+				s += v0
+				s += v1
+				s += v2
+				s += v3
+				sq += v0 * v0
+				sq += v1 * v1
+				sq += v2 * v2
+				sq += v3 * v3
+			}
+			for ; i < len(row); i++ {
+				v := row[i]
 				s += v
 				sq += v * v
 			}
@@ -266,19 +290,9 @@ func StatsFromMoments(sum, sumsq []float32, m int) (*BNStats, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("batchnorm: moments over %d elements", m)
 	}
-	c := len(sum)
-	mf := float32(m)
-	mean := tensor.New(c)
-	variance := tensor.New(c)
-	for ic := 0; ic < c; ic++ {
-		mu := sum[ic] / mf
-		mean.Data[ic] = mu
-		v := sumsq[ic]/mf - mu*mu
-		if v < 0 { // guard fp cancellation for near-constant channels
-			v = 0
-		}
-		variance.Data[ic] = v
-	}
+	mean := tensor.New(len(sum))
+	variance := tensor.New(len(sum))
+	mvfClose(mean.Data, variance.Data, sum, sumsq, m)
 	return &BNStats{Mean: mean, Var: variance, M: m}, nil
 }
 

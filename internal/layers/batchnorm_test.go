@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bnff/internal/parallel"
 	"bnff/internal/tensor"
 )
 
@@ -70,6 +71,61 @@ func TestMVFMatchesTwoPass(t *testing.T) {
 	}
 	if !tensor.AllClose(twoPass.Var, onePass.Var, 1e-3, 1e-4) {
 		t.Error("MVF variance diverges from two-pass variance")
+	}
+}
+
+// The 4-wide unrolled Σx/Σx² partials that ComputeStatsMVF, SamplePartials
+// and the executor's sub-BN1 epilogue share must be bit-identical to the
+// rolled single-chain reference, including tails where H·W % 4 != 0.
+func TestBNPartialSumsUnrolledBitIdentical(t *testing.T) {
+	const n, c, hw = 3, 4, 7 // 49 elements per map: 12 unrolled steps + a tail of 1
+	x := randomBNInput(21, n, c, hw, hw, 2)
+	psum := make([]float32, n*c)
+	psumsq := make([]float32, n*c)
+	sum := make([]float32, c)
+	sumsq := make([]float32, c)
+	for in := 0; in < n; in++ {
+		for ic := 0; ic < c; ic++ {
+			base := (in*c + ic) * hw * hw
+			var s, sq float32
+			for i := 0; i < hw*hw; i++ {
+				v := x.Data[base+i]
+				s += v
+				sq += v * v
+			}
+			psum[in*c+ic], psumsq[in*c+ic] = s, sq
+			sum[ic] += s
+			sumsq[ic] += sq
+		}
+	}
+
+	bn := NewBatchNorm(c)
+	gotSum := make([]float32, n*c)
+	gotSumsq := make([]float32, n*c)
+	if err := bn.SamplePartials(x, gotSum, gotSumsq); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqualUpToNaN(gotSum, psum) || !bitsEqualUpToNaN(gotSumsq, psumsq) {
+		t.Errorf("SamplePartials (%v, %v), rolled reference (%v, %v)", gotSum, gotSumsq, psum, psumsq)
+	}
+
+	m := float32(n * hw * hw)
+	for _, workers := range []int{1, 2} {
+		stats, err := bn.WithPool(parallel.New(workers)).ComputeStatsMVF(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ic := 0; ic < c; ic++ {
+			mu := sum[ic] / m
+			v := sumsq[ic]/m - mu*mu
+			if v < 0 {
+				v = 0
+			}
+			if stats.Mean.Data[ic] != mu || stats.Var.Data[ic] != v {
+				t.Errorf("workers=%d channel %d: stats (%v, %v), rolled reference (%v, %v)",
+					workers, ic, stats.Mean.Data[ic], stats.Var.Data[ic], mu, v)
+			}
+		}
 	}
 }
 

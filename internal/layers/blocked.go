@@ -743,34 +743,3 @@ func (g ConvGeom) dxTile(w, d, dx []float32, iy, ix, oyLo, oyHi, i0, l1, l2, l3 
 	dx[r2], dx[r2+1], dx[r2+2], dx[r2+3] = a20, a21, a22, a23
 	dx[r3], dx[r3+1], dx[r3+2], dx[r3+3] = a30, a31, a32, a33
 }
-
-// im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)
-// into the (CinG·KH·KW, OH·OW) column matrix the GEMM oracle multiplies.
-// Padding materializes as literal zeros.
-//
-// hot-path: the GEMM oracle's lowering loop; cols is caller scratch.
-func im2colGroup(cols, x []float32, g ConvGeom, grp int) {
-	ohow := g.OH * g.OW
-	for ig := 0; ig < g.CinG; ig++ {
-		inBase := (grp*g.CinG + ig) * g.H * g.W
-		for ky := 0; ky < g.KH; ky++ {
-			for kx := 0; kx < g.KW; kx++ {
-				row := (ig*g.KH+ky)*g.KW + kx
-				dst := cols[row*ohow : (row+1)*ohow]
-				di := 0
-				for oy := 0; oy < g.OH; oy++ {
-					iy := oy*g.S - g.P + ky
-					for ox := 0; ox < g.OW; ox++ {
-						ix := ox*g.S - g.P + kx
-						if iy < 0 || iy >= g.H || ix < 0 || ix >= g.W {
-							dst[di] = 0
-						} else {
-							dst[di] = x[inBase+iy*g.W+ix]
-						}
-						di++
-					}
-				}
-			}
-		}
-	}
-}

@@ -7,6 +7,10 @@ import (
 	"bnff/internal/tensor"
 )
 
+// The im2col + GEMM convolution and the plain matrix multiply below are
+// test oracles: independent formulations the property tests hold the direct
+// kernels and the FC layer against.
+
 // ForwardGEMM computes the same convolution as Forward via im2col + matrix
 // multiply — the algorithm Caffe (the paper's reference framework) uses.
 // It exists as an independent oracle for the direct kernels and to expose
@@ -64,9 +68,9 @@ func (c Conv2D) ForwardGEMM(x, w *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// Im2colBytes returns the extra buffer traffic the GEMM path implies per
-// forward pass (the column matrix written and read once), used by the
-// documentation of why direct convolution is the reference cost model.
+// Im2colBytes returns the extra buffer traffic the GEMM oracle implies per
+// forward pass (the column matrix written and read once) — the cost direct
+// convolution avoids.
 // Degenerate shapes whose output extent rounds to zero or below (input
 // smaller than the kernel despite padding) imply no column traffic at all,
 // so the count clamps to zero instead of going negative.
@@ -110,4 +114,33 @@ func matMulOn(p *parallel.Pool, alloc *tensor.Arena, a, b *tensor.Tensor) (*tens
 	})
 	alloc.PutFloats(panels)
 	return out, nil
+}
+
+// im2colGroup lowers one (sample, group) block of x (sample-flat Cin·H·W)
+// into the (CinG·KH·KW, OH·OW) column matrix the GEMM oracle multiplies.
+// Padding materializes as literal zeros.
+func im2colGroup(cols, x []float32, g ConvGeom, grp int) {
+	ohow := g.OH * g.OW
+	for ig := 0; ig < g.CinG; ig++ {
+		inBase := (grp*g.CinG + ig) * g.H * g.W
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				row := (ig*g.KH+ky)*g.KW + kx
+				dst := cols[row*ohow : (row+1)*ohow]
+				di := 0
+				for oy := 0; oy < g.OH; oy++ {
+					iy := oy*g.S - g.P + ky
+					for ox := 0; ox < g.OW; ox++ {
+						ix := ox*g.S - g.P + kx
+						if iy < 0 || iy >= g.H || ix < 0 || ix >= g.W {
+							dst[di] = 0
+						} else {
+							dst[di] = x[inBase+iy*g.W+ix]
+						}
+						di++
+					}
+				}
+			}
+		}
+	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestReLUForwardBackward(t *testing.T) {
 	x := tensor.MustFromSlice([]float32{-2, -0.5, 0, 1, 3}, 1, 1, 1, 5)
-	y := ReLUForward(x)
+	y := ReLUForward(nil, nil, x)
 	want := []float32{0, 0, 0, 1, 3}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -18,7 +18,7 @@ func TestReLUForwardBackward(t *testing.T) {
 		}
 	}
 	dy := tensor.MustFromSlice([]float32{10, 10, 10, 10, 10}, 1, 1, 1, 5)
-	dx, err := ReLUBackward(dy, x)
+	dx, err := ReLUBackward(nil, nil, dy, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestReLUForwardBackward(t *testing.T) {
 			t.Errorf("relu dx[%d] = %v, want %v", i, dx.Data[i], wantDx[i])
 		}
 	}
-	if _, err := ReLUBackward(tensor.New(2), x); err == nil {
+	if _, err := ReLUBackward(nil, nil, tensor.New(2), x); err == nil {
 		t.Error("accepted mismatched dy")
 	}
 }
@@ -44,8 +44,8 @@ func TestQuickReLUIdempotent(t *testing.T) {
 			}
 		}
 		x := tensor.MustFromSlice(vals, len(vals), 1, 1, 1)
-		once := ReLUForward(x)
-		twice := ReLUForward(once)
+		once := ReLUForward(nil, nil, x)
+		twice := ReLUForward(nil, nil, once)
 		d, _ := tensor.MaxAbsDiff(once, twice)
 		return d == 0
 	}
@@ -57,18 +57,18 @@ func TestQuickReLUIdempotent(t *testing.T) {
 func TestEWS(t *testing.T) {
 	a := tensor.MustFromSlice([]float32{1, 2}, 1, 1, 1, 2)
 	b := tensor.MustFromSlice([]float32{10, 20}, 1, 1, 1, 2)
-	y, err := EWSForward(a, b)
+	y, err := EWSForward(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y.Data[0] != 11 || y.Data[1] != 22 {
 		t.Errorf("ews = %v, want [11 22]", y.Data)
 	}
-	if _, err := EWSForward(a, tensor.New(1, 1, 1, 3)); err == nil {
+	if _, err := EWSForward(nil, a, tensor.New(1, 1, 1, 3)); err == nil {
 		t.Error("accepted shape mismatch")
 	}
 	dy := tensor.MustFromSlice([]float32{5, 6}, 1, 1, 1, 2)
-	da, db := EWSBackward(dy)
+	da, db := EWSBackward(nil, dy)
 	if da.Data[0] != 5 || db.Data[1] != 6 {
 		t.Error("ews backward does not pass gradient through")
 	}
@@ -148,7 +148,7 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	rng.FillUniform(a, -1, 1)
 	rng.FillUniform(b, -1, 1)
 	rng.FillUniform(c, -1, 1)
-	y, err := ConcatForward(a, b, c)
+	y, err := ConcatForward(nil, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	if y.At4(1, 3, 2, 2) != b.At4(1, 0, 2, 2) {
 		t.Error("concat misplaced channel data")
 	}
-	parts, err := ConcatBackward(y, []int{3, 5, 2})
+	parts, err := ConcatBackward(nil, y, []int{3, 5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +171,13 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 }
 
 func TestConcatErrors(t *testing.T) {
-	if _, err := ConcatForward(); err == nil {
+	if _, err := ConcatForward(nil); err == nil {
 		t.Error("accepted empty input list")
 	}
-	if _, err := ConcatForward(tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4)); err == nil {
+	if _, err := ConcatForward(nil, tensor.New(1, 2, 4, 4), tensor.New(1, 2, 5, 4)); err == nil {
 		t.Error("accepted mismatched spatial dims")
 	}
-	if _, err := ConcatBackward(tensor.New(1, 4, 2, 2), []int{3, 3}); err == nil {
+	if _, err := ConcatBackward(nil, tensor.New(1, 4, 2, 2), []int{3, 3}); err == nil {
 		t.Error("accepted wrong channel split")
 	}
 }

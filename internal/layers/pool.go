@@ -214,21 +214,11 @@ func (p Pool2D) Backward(dy *tensor.Tensor, ctx *PoolContext) (*tensor.Tensor, e
 }
 
 // GlobalAvgPoolForward reduces each channel's H×W plane to its mean,
-// returning (N, C) — the head of ResNet/DenseNet before the classifier.
-func GlobalAvgPoolForward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return GlobalAvgPoolForwardOn(nil, x)
-}
-
-// GlobalAvgPoolForwardOn is GlobalAvgPoolForward on a worker pool; the
-// per-channel reductions stay within one sample, so pooled execution is
-// bit-identical to serial.
-func GlobalAvgPoolForwardOn(p *parallel.Pool, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return GlobalAvgPoolForwardAlloc(p, nil, x)
-}
-
-// GlobalAvgPoolForwardAlloc is GlobalAvgPoolForwardOn drawing the output
-// from an arena (nil = heap, bit-identical).
-func GlobalAvgPoolForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) (*tensor.Tensor, error) {
+// returning (N, C) — the head of ResNet/DenseNet before the classifier. The
+// per-channel reductions stay within one sample, so execution on the pool
+// (nil = serial) is bit-identical to serial; the output comes from the arena
+// (nil = heap, bit-identical).
+func GlobalAvgPoolForward(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("gap: input must be rank 4, got %v", x.Shape())
 	}
@@ -251,20 +241,10 @@ func GlobalAvgPoolForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tens
 }
 
 // GlobalAvgPoolBackward spreads each (n,c) gradient uniformly over the
-// channel's spatial plane of the given input shape.
-func GlobalAvgPoolBackward(dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
-	return GlobalAvgPoolBackwardOn(nil, dy, inShape)
-}
-
-// GlobalAvgPoolBackwardOn is GlobalAvgPoolBackward on a worker pool
-// (bit-identical to serial: per-sample disjoint writes).
-func GlobalAvgPoolBackwardOn(p *parallel.Pool, dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
-	return GlobalAvgPoolBackwardAlloc(p, nil, dy, inShape)
-}
-
-// GlobalAvgPoolBackwardAlloc is GlobalAvgPoolBackwardOn drawing dx from an
-// arena (nil = heap, bit-identical).
-func GlobalAvgPoolBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
+// channel's spatial plane of the given input shape, on the pool (nil =
+// serial; per-sample disjoint writes, so bit-identical) with dx drawn from
+// the arena (nil = heap, bit-identical).
+func GlobalAvgPoolBackward(p *parallel.Pool, a *tensor.Arena, dy *tensor.Tensor, inShape tensor.Shape) (*tensor.Tensor, error) {
 	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]
 	if !dy.Shape().Equal(tensor.Shape{n, c}) {
 		return nil, fmt.Errorf("gap: dy shape %v, want [%d %d]", dy.Shape(), n, c)

@@ -10,15 +10,13 @@ import (
 // ReLUForward returns max(x, 0) as a fresh tensor. In the baseline graph
 // this costs one read and one write sweep of the feature map; RCF eliminates
 // both by clipping while the following CONV reads its ifmap.
-func ReLUForward(x *tensor.Tensor) *tensor.Tensor { return ReLUForwardAlloc(nil, nil, x) }
-
-// ReLUForwardAlloc is ReLUForward on a worker pool, drawing the output from
-// an arena (nil = heap, bit-identical). The flat element range is split into
+//
+// The flat element range is split across the pool (nil = serial) into
 // contiguous chunks with disjoint writes, so the result is bit-identical to
-// serial. The kernel writes only positive elements and relies
-// on the zeroed buffer for the rest, which the arena's default zero-on-reuse
-// guarantees.
-func ReLUForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+// serial. The output comes from the arena (nil = heap, bit-identical); only
+// positive elements are written, the rest relying on the zeroed buffer that
+// the arena's default zero-on-reuse guarantees.
+func ReLUForward(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := a.Get(x.Shape()...)
 	p.Run(len(x.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -30,14 +28,10 @@ func ReLUForwardAlloc(p *parallel.Pool, a *tensor.Arena, x *tensor.Tensor) *tens
 	return y
 }
 
-// ReLUBackward computes dx = dy ⊙ 1[x > 0] from the saved forward input.
-func ReLUBackward(dy, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return ReLUBackwardAlloc(nil, nil, dy, x)
-}
-
-// ReLUBackwardAlloc is ReLUBackward on a worker pool (bit-identical to
-// serial), drawing dx from an arena (nil = heap, bit-identical).
-func ReLUBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) (*tensor.Tensor, error) {
+// ReLUBackward computes dx = dy ⊙ 1[x > 0] from the saved forward input, on
+// the pool (nil = serial, bit-identical) with dx drawn from the arena (nil =
+// heap, bit-identical).
+func ReLUBackward(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if !dy.Shape().Equal(x.Shape()) {
 		return nil, fmt.Errorf("relu: dy shape %v vs x %v", dy.Shape(), x.Shape())
 	}
@@ -52,14 +46,9 @@ func ReLUBackwardAlloc(p *parallel.Pool, a *tensor.Arena, dy, x *tensor.Tensor) 
 	return dx, nil
 }
 
-// EWSForward is the element-wise sum used by ResNet identity shortcuts.
-func EWSForward(a, b *tensor.Tensor) (*tensor.Tensor, error) {
-	return EWSForwardAlloc(nil, a, b)
-}
-
-// EWSForwardAlloc is EWSForward drawing the output from an arena (nil =
-// heap, bit-identical).
-func EWSForwardAlloc(al *tensor.Arena, a, b *tensor.Tensor) (*tensor.Tensor, error) {
+// EWSForward is the element-wise sum used by ResNet identity shortcuts,
+// drawing the output from the arena (nil = heap, bit-identical).
+func EWSForward(al *tensor.Arena, a, b *tensor.Tensor) (*tensor.Tensor, error) {
 	if !a.Shape().Equal(b.Shape()) {
 		return nil, fmt.Errorf("ews: shape mismatch %v vs %v", a.Shape(), b.Shape())
 	}
@@ -72,14 +61,8 @@ func EWSForwardAlloc(al *tensor.Arena, a, b *tensor.Tensor) (*tensor.Tensor, err
 }
 
 // EWSBackward routes the upstream gradient unchanged to both addends.
-// Both returned tensors are independent copies so downstream accumulation
-// cannot alias.
-func EWSBackward(dy *tensor.Tensor) (da, db *tensor.Tensor) {
-	return EWSBackwardAlloc(nil, dy)
-}
-
-// EWSBackwardAlloc is EWSBackward drawing both copies from an arena (nil =
-// heap, bit-identical).
-func EWSBackwardAlloc(a *tensor.Arena, dy *tensor.Tensor) (da, db *tensor.Tensor) {
+// Both returned tensors are independent copies drawn from the arena (nil =
+// heap), so downstream accumulation cannot alias.
+func EWSBackward(a *tensor.Arena, dy *tensor.Tensor) (da, db *tensor.Tensor) {
 	return a.Clone(dy), a.Clone(dy)
 }
